@@ -14,7 +14,8 @@ from .ergodic import (ComparisonReport, CylinderFunction, Spectrum, compare,
                       empirical_average, idft, predicted_limit, torus_average,
                       translate)
 from .multipliers import (BudgetError, MultiplierValue, complete_exp_sum,
-                          multiplier_natural, multiplier_prime, wiener_energy)
+                          limit_distribution, multiplier_natural,
+                          multiplier_prime, wiener_energy)
 from .primes import prime_count, primes_in_range
 from .weyl import (OrbitHistogram, adic_weyl_sum, orbit_histogram,
                    torus_weyl_sum)

@@ -14,8 +14,8 @@ from .characters import Character, parse_character, reduce_phase
 from .ergodic import (CylinderFunction, compare, cylinder_from_dict,
                       cylinder_to_dict, empirical_average, predicted_limit,
                       torus_average)
-from .multipliers import (BudgetError, complete_exp_sum, multiplier_natural,
-                          multiplier_prime, wiener_energy)
+from .multipliers import (DEFAULT_MAX_MODULUS, BudgetError, complete_exp_sum,
+                          multiplier_natural, multiplier_prime, wiener_energy)
 from .weyl import adic_weyl_sum
 
 
@@ -43,10 +43,8 @@ class ExperimentConfig:
     x: str = "0"
     r_max: int | None = None
     function: str | None = None
-    seed: int = 0
     out: str | None = None
-    max_modulus: int = 1 << 20
-    threads: int = 1
+    max_modulus: int = DEFAULT_MAX_MODULUS
 
     def to_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if v is not None}
@@ -193,7 +191,7 @@ def cmd_limit(cfg: ExperimentConfig) -> int:
     f = _load_function(cfg)
     rho = cfg.parsed_rho(f.basis, f.r)
     _degree_notice(cfg, rho)
-    lim = predicted_limit(f, rho, cfg.kind)
+    lim = predicted_limit(f, rho, cfg.kind, cfg.max_modulus)
     rows = [{"c": c, "re": v.real, "im": v.imag} for c, v in enumerate(lim.values)]
     emit_report(cfg, rows, {"result": cylinder_to_dict(lim), "kind": cfg.kind})
     print(f"predicted limit over {lim.modulus} residues ({cfg.kind} kind)")
@@ -246,7 +244,7 @@ def cmd_wiener(cfg: ExperimentConfig) -> int:
     if cfg.r_max is None:
         raise SystemExit("error: --r-max is required")
     rho = cfg.parsed_rho(basis, cfg.r_max)
-    series = wiener_energy(basis, rho, cfg.r_max, cfg.kind)
+    series = wiener_energy(basis, rho, cfg.r_max, cfg.kind, cfg.max_modulus)
     rows = [{"r": r, "A_r": basis.modulus(r), "W_r": w} for r, w in series]
     for row in rows:
         print(f"r={row['r']}  A_r={row['A_r']}  W_r={_fmt(row['W_r'])}")
@@ -286,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kind", choices=["prime", "natural"])
         p.add_argument("--out", help="write <out>.csv and <out>.json")
         p.add_argument("--max-modulus", dest="max_modulus", type=int)
-        p.add_argument("--threads", type=int)
         if name == "gauss":
             p.add_argument("--q", type=int)
             p.add_argument("--psi", help="coefficients a1,a2,... of a1*x + a2*x^2 + ...")

@@ -10,11 +10,8 @@ import numpy as np
 
 from .adic import AdicInt
 from .basis import Basis, parse_basis
-from .characters import Character, reduce_phase
-from .multipliers import BudgetError, multiplier_natural, multiplier_prime
-from .weyl import DEFAULT_MAX_MODULUS, orbit_histogram, torus_weyl_sum
-
-DEFAULT_VECTOR_BUDGET = 1 << 20
+from .multipliers import DEFAULT_MAX_MODULUS, _check_budget, limit_distribution
+from .weyl import orbit_histogram, torus_weyl_sum
 
 
 @dataclass(frozen=True)
@@ -52,18 +49,13 @@ class Spectrum:
             raise ValueError("coefficient vector length must equal the cumulative modulus")
 
 
-def _check_budget(n: int, budget: int):
-    if n > budget:
-        raise BudgetError(f"vector length {n} exceeds budget {budget}")
-
-
-def dft(f: CylinderFunction, budget: int = DEFAULT_VECTOR_BUDGET) -> Spectrum:
+def dft(f: CylinderFunction, budget: int = DEFAULT_MAX_MODULUS) -> Spectrum:
     """Coefficient at ell is the mean of f against the conjugate character."""
     _check_budget(f.modulus, budget)
     return Spectrum(f.basis, f.r, np.fft.fft(f.values) / f.modulus)
 
 
-def idft(spec: Spectrum, budget: int = DEFAULT_VECTOR_BUDGET) -> CylinderFunction:
+def idft(spec: Spectrum, budget: int = DEFAULT_MAX_MODULUS) -> CylinderFunction:
     n = len(spec.coefficients)
     _check_budget(n, budget)
     return CylinderFunction(spec.basis, spec.r, np.fft.ifft(spec.coefficients) * n)
@@ -88,26 +80,27 @@ def empirical_average(f: CylinderFunction, rho: list[AdicInt], n: int, source: s
     return CylinderFunction(f.basis, f.r, out)
 
 
+def multiplier_table(basis: Basis, r: int, rho: list[AdicInt], kind: str,
+                     max_modulus: int = DEFAULT_MAX_MODULUS) -> np.ndarray:
+    """The limit multiplier of every character ell/A at level r, indexed by ell.
+
+    One inverse FFT of the limit distribution w: M(ell) = sum_c w(c) e(ell c/A)
+    is A * ifft(w)[ell].  Units mod A map evenly onto the units mod every
+    divisor D, so this equals the per-character multiplier over the reduced
+    modulus D.
+    """
+    w = limit_distribution(basis, r, rho, kind, max_modulus)
+    return w.modulus * np.fft.ifft(w.counts / w.total)
+
+
+def _apply_multipliers(f: CylinderFunction, table: np.ndarray, budget: int) -> CylinderFunction:
+    return idft(Spectrum(f.basis, f.r, dft(f, budget).coefficients * table), budget)
+
+
 def predicted_limit(f: CylinderFunction, rho: list[AdicInt], kind: str = "prime",
-                    budget: int = DEFAULT_VECTOR_BUDGET) -> CylinderFunction:
+                    budget: int = DEFAULT_MAX_MODULUS) -> CylinderFunction:
     """Apply the limit multiplier coefficient-wise in the transform domain."""
-    if kind not in ("prime", "natural"):
-        raise ValueError(f"unknown multiplier kind {kind!r}")
-    mult = multiplier_prime if kind == "prime" else multiplier_natural
-    spec = dft(f, budget)
-    factors = np.array([
-        mult(reduce_phase(Character(f.basis, f.r, ell), rho)).value
-        for ell in range(f.modulus)
-    ])
-    return idft(Spectrum(f.basis, f.r, spec.coefficients * factors), budget)
-
-
-def multiplier_table(basis: Basis, r: int, rho: list[AdicInt], kind: str) -> np.ndarray:
-    mult = multiplier_prime if kind == "prime" else multiplier_natural
-    return np.array([
-        mult(reduce_phase(Character(basis, r, ell), rho)).value
-        for ell in range(basis.modulus(r))
-    ])
+    return _apply_multipliers(f, multiplier_table(f.basis, f.r, rho, kind, budget), budget)
 
 
 @dataclass
@@ -130,8 +123,8 @@ def compare(f: CylinderFunction, rho: list[AdicInt], n_schedule: list[int],
     """Run the empirical average over an N schedule against the predicted
     limit; sup distance enumerates every point of the quotient."""
     source = "primes" if kind == "prime" else "naturals"
-    limit = predicted_limit(f, rho, kind)
-    mults = multiplier_table(f.basis, f.r, rho, kind)
+    mults = multiplier_table(f.basis, f.r, rho, kind, max_modulus)
+    limit = _apply_multipliers(f, mults, max_modulus)
     sup, l2 = [], []
     for n in n_schedule:
         avg = empirical_average(f, rho, n, source, max_modulus)

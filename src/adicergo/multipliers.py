@@ -1,25 +1,29 @@
-"""Limit multipliers of the averaged orbits: prime and natural variants,
-complete exponential sums, and the energy-decay diagnostic."""
+"""Orbit distributions and the limit multipliers derived from them: prime and
+natural variants, complete exponential sums, and the energy-decay diagnostic."""
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adic import AdicInt
 from .basis import Basis
-from .characters import Character, ReducedPhase, reduce_phase
+from .characters import ReducedPhase
 
 # int64 Horner is safe while modulus**2 stays below 2**63
 _VECTOR_MODULUS_LIMIT = 3_000_000_000
 
-DEFAULT_WIENER_BUDGET = 2**16
+DEFAULT_MAX_MODULUS = 1 << 20
 
 
 class BudgetError(RuntimeError):
     """A configured work budget would be exceeded."""
+
+
+def _check_budget(n: int, budget: int, what: str = "vector length"):
+    if n > budget:
+        raise BudgetError(f"{what} {n} exceeds budget {budget}")
 
 
 @dataclass(frozen=True)
@@ -27,6 +31,26 @@ class MultiplierValue:
     value: complex
     modulus: int
     kind: str  # "prime" | "natural"
+
+
+@dataclass(frozen=True)
+class OrbitHistogram:
+    """Counts of polynomial orbit values per residue class.
+
+    counts[c] = #{n in source, n <= N : rho(n) = c mod A}; total is the
+    number of source elements.  A limit distribution has the same shape:
+    there counts/total is the N -> infinity limit of the source's histogram.
+    """
+
+    basis: Basis
+    r: int
+    counts: np.ndarray
+    total: int
+    source: str  # "primes" | "naturals"
+
+    @property
+    def modulus(self) -> int:
+        return self.basis.modulus(self.r)
 
 
 def _phase_values(coeffs: tuple[int, ...], modulus: int, residues: np.ndarray) -> np.ndarray:
@@ -37,24 +61,50 @@ def _phase_values(coeffs: tuple[int, ...], modulus: int, residues: np.ndarray) -
     return (acc * residues) % modulus
 
 
-def _phase_sum(phase: ReducedPhase, residues) -> complex:
-    """Sum of e(phase(m)/D) over the given residues, deterministic pairwise."""
-    d = phase.modulus
-    if d <= _VECTOR_MODULUS_LIMIT:
-        res = np.asarray(residues, dtype=np.int64)
-        nums = _phase_values(phase.coeffs, d, res)
-        return complex(np.sum(np.exp(2j * np.pi * nums / d)))
-    terms = [cmath.exp(2j * cmath.pi * (phase.phase_numerator(m) / d)) for m in residues]
-    return _pairwise(terms)
+def _poly_table(basis: Basis, r: int, rho: list[AdicInt], max_modulus: int) -> np.ndarray:
+    """rho(t) mod A for every residue t, as an int64 vector."""
+    a = basis.modulus(r)
+    _check_budget(a, max_modulus, "modulus")
+    if not rho:
+        raise ValueError("empty coefficient list")
+    coeffs = []
+    for c in rho:
+        if c.basis != basis:
+            raise ValueError("basis mismatch in polynomial coefficients")
+        if c.r < r:
+            raise ValueError("coefficient precision below histogram precision")
+        coeffs.append(c.v % a)
+    t = np.arange(a, dtype=np.int64)
+    acc = np.zeros(a, dtype=np.int64)
+    for cv in reversed(coeffs):
+        acc = (acc * t + cv) % a
+    return acc
 
 
-def _pairwise(terms: list[complex]) -> complex:
-    if not terms:
-        return 0j
-    while len(terms) > 1:
-        it = iter(terms)
-        terms = [a + b for a, b in zip(it, it)] + ([terms[-1]] if len(terms) % 2 else [])
-    return terms[0]
+def limit_distribution(basis: Basis, r: int, rho: list[AdicInt], kind: str,
+                       max_modulus: int = DEFAULT_MAX_MODULUS) -> OrbitHistogram:
+    """The distribution w of rho(m) mod A, with m uniform over the units mod A
+    (prime kind: the primes equidistribute over them) or over all residues
+    (natural kind).
+
+    Every limit multiplier at level r is a transform of w:
+    M(ell) = sum_c w(c) e(ell c / A), so M = A * ifft(w).
+    """
+    if kind not in ("prime", "natural"):
+        raise ValueError(f"unknown multiplier kind {kind!r}")
+    table = _poly_table(basis, r, rho, max_modulus)
+    a = len(table)
+    if kind == "prime":
+        table = table[np.gcd(np.arange(a, dtype=np.int64), a) == 1]
+    counts = np.bincount(table, minlength=a)
+    return OrbitHistogram(basis, r, counts, len(table),
+                          "primes" if kind == "prime" else "naturals")
+
+
+def _exp_sum(coeffs: tuple[int, ...], modulus: int, residues: np.ndarray) -> complex:
+    """Sum of e(phase(m)/modulus) over an int64 residue vector."""
+    nums = _phase_values(coeffs, modulus, residues)
+    return complex(np.sum(np.exp(2j * np.pi * nums / modulus)))
 
 
 def _constant_factor(phase: ReducedPhase) -> complex:
@@ -68,16 +118,11 @@ def multiplier_prime(phase: ReducedPhase) -> MultiplierValue:
     d = phase.modulus
     if d == 1:
         return MultiplierValue(_constant_factor(phase), 1, "prime")
-    if d <= _VECTOR_MODULUS_LIMIT:
-        m = np.arange(1, d + 1, dtype=np.int64)
-        units = m[np.gcd(m, d) == 1]
-        s = complex(np.sum(np.exp(2j * np.pi * _phase_values(phase.coeffs, d, units) / d)))
-        count = len(units)
-    else:
-        units = [m for m in range(1, d + 1) if math.gcd(m, d) == 1]
-        s = _phase_sum(phase, units)
-        count = len(units)
-    return MultiplierValue(_constant_factor(phase) * s / count, d, "prime")
+    _check_budget(d, _VECTOR_MODULUS_LIMIT, "phase modulus")
+    m = np.arange(1, d + 1, dtype=np.int64)
+    units = m[np.gcd(m, d) == 1]
+    s = _exp_sum(phase.coeffs, d, units)
+    return MultiplierValue(_constant_factor(phase) * s / len(units), d, "prime")
 
 
 def multiplier_natural(phase: ReducedPhase) -> MultiplierValue:
@@ -86,7 +131,8 @@ def multiplier_natural(phase: ReducedPhase) -> MultiplierValue:
     d = phase.modulus
     if d == 1:
         return MultiplierValue(_constant_factor(phase), 1, "natural")
-    s = _phase_sum(phase, range(1, d + 1))
+    _check_budget(d, _VECTOR_MODULUS_LIMIT, "phase modulus")
+    s = _exp_sum(phase.coeffs, d, np.arange(1, d + 1, dtype=np.int64))
     return MultiplierValue(_constant_factor(phase) * s / d, d, "natural")
 
 
@@ -95,42 +141,23 @@ def complete_exp_sum(psi_coeffs: list[int], q: int) -> complex:
     psi(x) = a_1 x + ... + a_d x^d, evaluated in exact integer arithmetic."""
     if q < 1:
         raise ValueError("modulus must be >= 1")
-    if q <= _VECTOR_MODULUS_LIMIT:
-        res = np.arange(q, dtype=np.int64)
-        coeffs = tuple(a % q for a in psi_coeffs)
-        nums = _phase_values(coeffs, q, res)
-        return complex(np.sum(np.exp(2j * np.pi * nums / q)))
-    terms = []
-    for r in range(q):
-        acc = 0
-        for a in reversed(psi_coeffs):
-            acc = (acc * r + a) % q
-        terms.append(cmath.exp(2j * cmath.pi * ((acc * r) % q) / q))
-    return _pairwise(terms)
+    _check_budget(q, _VECTOR_MODULUS_LIMIT, "modulus")
+    coeffs = tuple(a % q for a in psi_coeffs)
+    return _exp_sum(coeffs, q, np.arange(q, dtype=np.int64))
 
 
 def wiener_energy(basis: Basis, rho: list[AdicInt], r_max: int, kind: str = "prime",
-                  budget: int = DEFAULT_WIENER_BUDGET) -> list[tuple[int, float]]:
-    """Mean squared multiplier magnitude over all characters of each level.
+                  budget: int = DEFAULT_MAX_MODULUS) -> list[tuple[int, float]]:
+    """Mean squared multiplier magnitude over the characters of each level.
 
-    For each r <= r_max, enumerates every numerator below the cumulative
-    modulus (which covers all characters of level <= r exactly once as
-    fractions) and averages |multiplier|^2.  Returns [(r, W_r), ...].
+    By Parseval the mean of |M(ell)|^2 over the A characters ell/A is the
+    collision probability sum_c w(c)^2 of the limit distribution w, an exact
+    ratio of integers that is rounded once.  Returns [(r, W_r), ...] for
+    every level r <= r_max.
     """
-    if kind not in ("prime", "natural"):
-        raise ValueError(f"unknown multiplier kind {kind!r}")
-    mult = multiplier_prime if kind == "prime" else multiplier_natural
+    _check_budget(basis.modulus(r_max), budget, "modulus")
     out = []
     for r in range(basis.offset, r_max + 1):
-        a = basis.modulus(r)
-        if a > budget:
-            raise BudgetError(f"level {r} needs {a} character evaluations (budget {budget})")
-        coeffs = [c if c.r == r else c.reduce_to(r) if c.r > r else None for c in rho]
-        if any(c is None for c in coeffs):
-            raise ValueError("coefficient precision below r_max")
-        energy = 0.0
-        for ell in range(a):
-            phase = reduce_phase(Character(basis, r, ell), coeffs)
-            energy += abs(mult(phase).value) ** 2
-        out.append((r, energy / a))
+        w = limit_distribution(basis, r, rho, kind, budget)
+        out.append((r, int(np.dot(w.counts, w.counts)) / w.total ** 2))
     return out

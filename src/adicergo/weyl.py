@@ -3,7 +3,6 @@ torus-phase sums with exact dyadic phase evaluation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -11,29 +10,8 @@ import numpy as np
 from .adic import AdicInt
 from .basis import Basis
 from .characters import Character
-from .multipliers import BudgetError
+from .multipliers import DEFAULT_MAX_MODULUS, OrbitHistogram, _poly_table
 from .primes import primes_in_range
-
-DEFAULT_MAX_MODULUS = 1 << 20
-
-
-@dataclass(frozen=True)
-class OrbitHistogram:
-    """Counts of polynomial orbit values per residue class.
-
-    counts[c] = #{n in source, n <= N : rho(n) = c mod A}; total is the
-    number of source elements.
-    """
-
-    basis: Basis
-    r: int
-    counts: np.ndarray
-    total: int
-    source: str  # "primes" | "naturals"
-
-    @property
-    def modulus(self) -> int:
-        return self.basis.modulus(self.r)
 
 
 def _source_values(source: str, n: int) -> np.ndarray:
@@ -46,27 +24,6 @@ def _source_values(source: str, n: int) -> np.ndarray:
             raise ValueError("need N >= 1")
         return np.arange(1, n + 1, dtype=np.int64)
     raise ValueError(f"unknown source {source!r}")
-
-
-def _poly_table(basis: Basis, r: int, rho: list[AdicInt], max_modulus: int) -> np.ndarray:
-    """rho(t) mod A for every residue t, as an int64 vector."""
-    a = basis.modulus(r)
-    if a > max_modulus:
-        raise BudgetError(f"modulus {a} exceeds vector budget {max_modulus}")
-    if not rho:
-        raise ValueError("empty coefficient list")
-    coeffs = []
-    for c in rho:
-        if c.basis != basis:
-            raise ValueError("basis mismatch in polynomial coefficients")
-        if c.r < r:
-            raise ValueError("coefficient precision below histogram precision")
-        coeffs.append(c.v % a)
-    t = np.arange(a, dtype=np.int64)
-    acc = np.zeros(a, dtype=np.int64)
-    for cv in reversed(coeffs):
-        acc = (acc * t + cv) % a
-    return acc
 
 
 def orbit_histogram(basis: Basis, r: int, rho: list[AdicInt], n: int, source: str,

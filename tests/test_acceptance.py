@@ -4,6 +4,8 @@ brute-force oracles, or reference runs frozen at build time."""
 import cmath
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -92,8 +94,6 @@ def _phi_mu_from_sieve(n, spf):
 
 
 def test_criterion_3_ramanujan_identity():
-    from fractions import Fraction
-
     from adicergo.characters import ReducedPhase
     spf = _spf_sieve(10**4)
     rng = random.Random(99)
@@ -187,16 +187,33 @@ def test_criterion_7_torus_decay():
     report("7 torus decay", ok)
 
 
+def _collision_probability(a, kind):
+    # brute force over the sample mod a, in exact integers
+    sample = [m for m in range(a) if kind == "natural" or math.gcd(m, a) == 1]
+    counts = Counter(m * m % a for m in sample)
+    return Fraction(sum(c * c for c in counts.values()), len(sample) ** 2)
+
+
 def test_criterion_8_wiener_decay():
+    # Every odd square is 1 mod 8, so the prime series is flat at 1 up to
+    # r = 2 and can decay only from there; the natural one from r = 1.
     basis = parse_basis("const:2")
     rho = [embed(c, basis, 6) for c in (0, 0, 1)]
+    expected = {
+        "prime": [1, 1, 1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)],
+        "natural": [Fraction(1, 2), Fraction(1, 2), Fraction(3, 8), Fraction(1, 4),
+                    Fraction(5, 32), Fraction(3, 32), Fraction(7, 128)],
+    }
+    strict_from = {"prime": 2, "natural": 1}
     ok = True
     for kind in ("prime", "natural"):
-        series = dict(wiener_energy(basis, rho, 6, kind=kind))
-        if kind == "prime":
-            ok &= abs(series[0] - 1.0) < 1e-12
-        strict = all(series[r + 1] < series[r] for r in range(1, 6))
-        ok &= strict
+        exact = [_collision_probability(basis.modulus(r), kind) for r in range(7)]
+        ok &= exact == expected[kind]
+        series = wiener_energy(basis, rho, 6, kind=kind)
+        ok &= series == [(r, float(w)) for r, w in enumerate(exact)]
+        ok &= all(b <= a for a, b in zip(exact, exact[1:]))
+        tail = exact[strict_from[kind]:]
+        ok &= all(b < a for a, b in zip(tail, tail[1:]))
     report("8 wiener decay", ok)
 
 

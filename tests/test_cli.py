@@ -148,6 +148,18 @@ def test_config_roundtrip(tmp_path):
 
 def test_unknown_config_key(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"bogus": 1}))
-    with pytest.raises(SystemExit, match="unknown config key"):
-        run(["gauss", "--q", "5", "--config", str(path)])
+    for key in ("bogus", "seed", "threads"):  # seed and threads were never read
+        path.write_text(json.dumps({key: 1}))
+        with pytest.raises(SystemExit, match="unknown config key"):
+            run(["gauss", "--q", "5", "--config", str(path)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["gauss", "--q", "4000000000"],
+    ["multiplier", "--basis", "const:2", "--char", "1@level:33", "--rho", "0,0,1"],
+])
+def test_modulus_past_vector_limit_is_a_budget_error(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

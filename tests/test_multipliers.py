@@ -1,19 +1,50 @@
 import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adicergo import characters, ergodic, multipliers, weyl
 from adicergo.adic import embed
 from adicergo.basis import parse_basis
 from adicergo.characters import Character, ReducedPhase, reduce_phase
+from adicergo.ergodic import (CylinderFunction, compare, multiplier_table,
+                              predicted_limit)
 from adicergo.multipliers import (BudgetError, complete_exp_sum,
                                   multiplier_natural, multiplier_prime,
                                   wiener_energy)
 from adicergo.numtheory import euler_phi, factorize, mobius
 
 DYADIC = parse_basis("const:2")
+
+# Bases of the differential tests, each with the top level at which the
+# per-character oracle (A characters, up to A terms each) stays cheap.
+TOP_LEVEL = {"const:2": 6, "cycle:2,3,5": 3, "list:3,2,7,2": 3, "const:3": 3,
+             "cycle:2,3,5@offset:-1": 2, "const:2@offset:-1": 5}
+KINDS = ("prime", "natural")
+
+
+@st.composite
+def orbit_cases(draw):
+    """(basis, r, rho) with rho of degree 1 to 3 at precision r."""
+    text = draw(st.sampled_from(sorted(TOP_LEVEL)))
+    basis = parse_basis(text)
+    r = draw(st.integers(basis.offset, TOP_LEVEL[text]))
+    a = basis.modulus(r)
+    coeffs = draw(st.lists(st.integers(0, a - 1), min_size=1, max_size=3))
+    coeffs.append(draw(st.integers(1, a - 1)))
+    return basis, r, [embed(c, basis, r) for c in coeffs]
+
+
+def per_character(basis, r, rho, kind):
+    mult = multiplier_prime if kind == "prime" else multiplier_natural
+    return np.array([mult(reduce_phase(Character(basis, r, ell), rho)).value
+                     for ell in range(basis.modulus(r))])
 
 
 def phase(d, coeffs, c=Fraction(0)):
@@ -118,13 +149,64 @@ def test_wiener_budget():
         wiener_energy(DYADIC, rho, 2, kind="bogus")
 
 
-def test_wiener_uses_reduce_phase():
-    # level-0 enumeration matches hand reduction
-    rho = [embed(c, DYADIC, 1) for c in (0, 0, 1)]
-    (r0, w0), _ = wiener_energy(DYADIC, rho, 1, kind="prime")
-    chi = Character(DYADIC, 0, 1)
-    g = multiplier_prime(reduce_phase(chi, [c.reduce_to(0) for c in rho])).value
-    assert (r0, w0) == (0, pytest.approx((1 + abs(g) ** 2) / 2))
+def collision_probability(coeffs, a, kind):
+    """Exact sum_c w(c)^2 for rho = sum_j coeffs[j] x^j, by brute force over
+    the units (prime kind) or all residues (natural kind) mod a."""
+    sample = [m for m in range(a) if kind == "natural" or math.gcd(m, a) == 1]
+    counts = Counter(sum(c * m ** j for j, c in enumerate(coeffs)) % a for m in sample)
+    return Fraction(sum(n * n for n in counts.values()), len(sample) ** 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orbit_cases())
+def test_wiener_uses_reduce_phase(case):
+    # W_r is the mean |multiplier|^2 over the characters of level r, and
+    # equals the exact collision probability of the limit distribution
+    basis, r, rho = case
+    for kind in KINDS:
+        series = wiener_energy(basis, rho, r, kind=kind)
+        assert [s for s, _ in series] == list(range(basis.offset, r + 1))
+        for s, w in series:
+            coeffs = [c.reduce_to(s) for c in rho]
+            exact = collision_probability([c.v for c in coeffs], basis.modulus(s), kind)
+            assert w == float(exact)
+            mean = np.mean(np.abs(per_character(basis, s, coeffs, kind)) ** 2)
+            assert w == pytest.approx(mean, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(orbit_cases())
+def test_multiplier_table_matches_per_character(case):
+    basis, r, rho = case
+    for kind in KINDS:
+        table = multiplier_table(basis, r, rho, kind)
+        assert np.max(np.abs(table - per_character(basis, r, rho, kind))) <= 1e-12
+
+
+def test_table_paths_skip_per_character_sums(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-character path reached")
+
+    for module in (characters, multipliers, ergodic, weyl):
+        for name in ("reduce_phase", "multiplier_prime", "multiplier_natural"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return multipliers.limit_distribution(*args, **kwargs)
+
+    monkeypatch.setattr(ergodic, "limit_distribution", counted)
+    basis = parse_basis("cycle:2,3,5")
+    rho = [embed(c, basis, 3) for c in (1, 0, 2, 1)]
+    f = CylinderFunction(basis, 3, np.arange(60) * 1j)
+    for kind in KINDS:
+        assert len(multiplier_table(basis, 3, rho, kind)) == 60
+        assert predicted_limit(f, rho, kind).modulus == 60
+        assert len(wiener_energy(basis, rho, 3, kind)) == 4
+        builds.clear()
+        assert len(compare(f, rho, [100, 1000], kind).multipliers) == 60
+        assert len(builds) == 1  # one table serves the limit and the report
 
 
 def test_factorize_phi_mobius():
