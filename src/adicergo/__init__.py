@@ -12,13 +12,13 @@ from .characters import (Character, ReducedPhase, char_eval, char_value,
 from .ergodic import (ComparisonReport, CylinderFunction, Spectrum, compare,
                       cylinder_from_dict, cylinder_to_dict, dft,
                       empirical_average, idft, predicted_limit, torus_average,
-                      translate)
+                      torus_averages, translate)
 from .multipliers import (BudgetError, MultiplierValue, complete_exp_sum,
                           limit_distribution, multiplier_natural,
                           multiplier_prime, wiener_energy)
 from .primes import prime_count, primes_in_range
-from .weyl import (OrbitHistogram, adic_weyl_sum, orbit_histogram,
-                   torus_weyl_sum)
+from .weyl import (OrbitHistogram, adic_weyl_sum, adic_weyl_sums,
+                   orbit_histogram, torus_weyl_sum)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -13,10 +13,10 @@ from .basis import Basis, parse_basis
 from .characters import Character, parse_character, reduce_phase
 from .ergodic import (CylinderFunction, compare, cylinder_from_dict,
                       cylinder_to_dict, empirical_average, predicted_limit,
-                      torus_average)
+                      torus_averages)
 from .multipliers import (DEFAULT_MAX_MODULUS, BudgetError, complete_exp_sum,
                           multiplier_natural, multiplier_prime, wiener_energy)
-from .weyl import adic_weyl_sum
+from .weyl import adic_weyl_sums
 
 
 def _fmt(x: float) -> str:
@@ -75,12 +75,21 @@ class ExperimentConfig:
             raise SystemExit(f"error: {exc}") from None
 
 
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
+
+
 def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge a config file (if given) with command-line flags; flags win."""
     cfg = ExperimentConfig()
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        doc = _read_json(args.config)
+        if not isinstance(doc, dict):
+            raise ValueError(f"config file {args.config} is not a JSON object")
         doc = doc.get("config", doc)
         for key, value in doc.items():
             if not hasattr(cfg, key):
@@ -159,9 +168,10 @@ def cmd_weyl(cfg: ExperimentConfig) -> int:
     basis = cfg.parsed_basis()
     chi = cfg.parsed_char(basis)
     rho = cfg.parsed_rho(basis, chi.r)
+    schedule = cfg.schedule([10**4])
     rows = []
-    for n in cfg.schedule([10**4]):
-        value = adic_weyl_sum(chi, rho, n, cfg.source, cfg.max_modulus)
+    for n, value in zip(schedule, adic_weyl_sums(chi, rho, schedule, cfg.source,
+                                                 cfg.max_modulus)):
         _print_complex(f"weyl sum N={n}", value)
         rows.append({"N": n, "re": value.real, "im": value.imag, "abs": abs(value)})
     emit_report(cfg, rows, {"char": chi.spec_string(), "source": cfg.source},
@@ -172,8 +182,10 @@ def cmd_weyl(cfg: ExperimentConfig) -> int:
 def _load_function(cfg: ExperimentConfig) -> CylinderFunction:
     if cfg.function is None:
         raise SystemExit("error: --function <file> is required")
-    with open(cfg.function) as fh:
-        return cylinder_from_dict(json.load(fh))
+    try:
+        return cylinder_from_dict(_read_json(cfg.function))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad function file {cfg.function}: {exc!r}") from None
 
 
 def cmd_average(cfg: ExperimentConfig) -> int:
@@ -230,9 +242,9 @@ def cmd_torus(cfg: ExperimentConfig) -> int:
     trig = {f if len(f) > 1 else f[0]: c for f, c in zip(freqs, coeffs)}
     xs = tuple(float(v) for v in cfg.x.split(","))
     x = xs if len(xs) > 1 else xs[0]
+    schedule = cfg.schedule([10**4])
     rows = []
-    for n in cfg.schedule([10**4]):
-        value = torus_average(trig, beta, x, n, cfg.source)
+    for n, value in zip(schedule, torus_averages(trig, beta, x, schedule, cfg.source)):
         _print_complex(f"torus average N={n}", value)
         rows.append({"N": n, "re": value.real, "im": value.imag, "abs": abs(value)})
     emit_report(cfg, rows, {"source": cfg.source}, header=["N", "re", "im", "abs"])
@@ -301,13 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = parse_config(args)
     try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](parse_config(args))
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:  # bad input, bad JSON, unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

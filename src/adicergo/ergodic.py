@@ -11,7 +11,7 @@ import numpy as np
 from .adic import AdicInt
 from .basis import Basis, parse_basis
 from .multipliers import DEFAULT_MAX_MODULUS, _check_budget, limit_distribution
-from .weyl import orbit_histogram, torus_weyl_sum
+from .weyl import _schedule_values, orbit_histogram, torus_weyl_sum
 
 
 @dataclass(frozen=True)
@@ -138,13 +138,15 @@ def _as_tuple(v) -> tuple:
     return tuple(v) if isinstance(v, (tuple, list)) else (v,)
 
 
-def torus_average(trig_coeffs: dict, beta, x, n: int, source: str = "primes") -> complex:
-    """Average of a trigonometric polynomial along the polynomial orbit on a
-    d-torus.
+def torus_averages(trig_coeffs: dict, beta, x, n_schedule: list[int],
+                   source: str = "primes") -> list[complex]:
+    """Averages of a trigonometric polynomial along the polynomial orbit on a
+    d-torus, over the source up to each N of a schedule.
 
     trig_coeffs maps a frequency (int, or tuple for d > 1) to a complex
     coefficient; beta gives the orbit polynomial coefficients per torus
-    component (a flat list means d = 1); x is the starting point.
+    component (a flat list means d = 1); x is the starting point.  The source
+    is generated once, to the largest N, and every sum runs over a prefix.
     """
     first = _as_tuple(next(iter(trig_coeffs)))
     dim = len(first)
@@ -156,7 +158,8 @@ def torus_average(trig_coeffs: dict, beta, x, n: int, source: str = "primes") ->
     xs = _as_tuple(x)
     if len(xs) != dim:
         raise ValueError("starting point dimension mismatch")
-    total = 0j
+    values = _schedule_values(source, n_schedule)
+    totals = [0j] * len(n_schedule)
     for freq, coeff in trig_coeffs.items():
         m = _as_tuple(freq)
         if len(m) != dim:
@@ -165,8 +168,15 @@ def torus_average(trig_coeffs: dict, beta, x, n: int, source: str = "primes") ->
         eff = [sum(mi * comp[j] for mi, comp in zip(m, betas) if j < len(comp))
                for j in range(degree)]
         phase_x = sum(mi * xi for mi, xi in zip(m, xs))
-        total += coeff * cmath.exp(2j * cmath.pi * phase_x) * torus_weyl_sum(eff, n, source)
-    return total
+        weight = coeff * cmath.exp(2j * cmath.pi * phase_x)
+        for i, n in enumerate(n_schedule):
+            totals[i] += weight * torus_weyl_sum(eff, n, source, values)
+    return totals
+
+
+def torus_average(trig_coeffs: dict, beta, x, n: int, source: str = "primes") -> complex:
+    """The torus average of `torus_averages` at a single N."""
+    return torus_averages(trig_coeffs, beta, x, [n], source)[0]
 
 
 def cylinder_to_dict(f: CylinderFunction) -> dict:

@@ -1,4 +1,5 @@
-"""Prime generation: segmented sieve with exact counts."""
+"""Prime generation: an odd-only segmented sieve of Eratosthenes with exact
+counts (Bays & Hudson, BIT 17, 1977)."""
 from __future__ import annotations
 
 import math
@@ -8,7 +9,8 @@ import numpy as np
 
 from .multipliers import BudgetError
 
-_SEGMENT = 1 << 21
+# odd numbers per segment: one flag each, so a segment spans 2 * _SEGMENT integers
+_SEGMENT = 1 << 20
 
 
 def sieve_budget() -> int:
@@ -16,19 +18,23 @@ def sieve_budget() -> int:
     return int(os.environ.get("ADICERGO_MAX_N", 10**8))
 
 
-def _small_sieve(limit: int) -> np.ndarray:
-    if limit < 2:
-        return np.array([], dtype=np.int64)
+def _odd_base_primes(limit: int) -> list[int]:
+    """The odd primes up to limit (at most the square root of a sieve bound)."""
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p:: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    return np.flatnonzero(flags)[1:].tolist()
 
 
 def primes_in_range(lo: int, hi: int, budget: int | None = None) -> np.ndarray:
-    """All primes in [lo, hi], ascending.  Segmented, exact."""
+    """All primes in [lo, hi], ascending, as int64.  Segmented, exact.
+
+    Only odd numbers carry a flag: flag i of a segment starting at the odd
+    number s stands for s + 2i, so the odd multiples of a base prime p, 2p
+    apart, are every p-th flag from the first one >= max(p*p, s).
+    """
     if budget is None:
         budget = sieve_budget()
     if hi > budget:
@@ -36,23 +42,23 @@ def primes_in_range(lo: int, hi: int, budget: int | None = None) -> np.ndarray:
     lo = max(lo, 2)
     if hi < lo:
         return np.array([], dtype=np.int64)
-    if hi <= _SEGMENT:
-        primes = _small_sieve(hi)
-        return primes[primes >= lo]
-    base = _small_sieve(math.isqrt(hi))
-    chunks = []
-    for start in range(lo, hi + 1, _SEGMENT):
-        end = min(start + _SEGMENT - 1, hi)
-        flags = np.ones(end - start + 1, dtype=bool)
+    base = _odd_base_primes(math.isqrt(hi))
+    chunks = [np.array([2] if lo == 2 else [], dtype=np.int64)]
+    for start in range(max(lo, 3) | 1, hi + 1, 2 * _SEGMENT):
+        size = min(_SEGMENT, (hi - start) // 2 + 1)
+        end = start + 2 * (size - 1)
+        flags = np.ones(size, dtype=bool)
         for p in base:
-            first = max(p * p, ((start + p - 1) // p) * p)
+            first = p * p
             if first > end:
-                continue
-            flags[first - start:: p] = False
-        if start <= 1:
-            flags[: 2 - start] = False
-        chunks.append(np.flatnonzero(flags).astype(np.int64) + start)
-    return np.concatenate(chunks) if chunks else np.array([], dtype=np.int64)
+                break
+            if first < start:
+                first = start + (-start) % p
+                if first % 2 == 0:
+                    first += p
+            flags[(first - start) // 2:: p] = False
+        chunks.append(2 * np.flatnonzero(flags) + start)
+    return np.concatenate(chunks)
 
 
 def prime_count(n: int, budget: int | None = None) -> int:

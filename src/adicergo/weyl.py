@@ -10,35 +10,73 @@ import numpy as np
 from .adic import AdicInt
 from .basis import Basis
 from .characters import Character
-from .multipliers import DEFAULT_MAX_MODULUS, OrbitHistogram, _poly_table
-from .primes import primes_in_range
+from .multipliers import (DEFAULT_MAX_MODULUS, BudgetError, OrbitHistogram,
+                          _check_budget, _poly_table)
+from .primes import primes_in_range, sieve_budget
 
-
-def _source_values(source: str, n: int) -> np.ndarray:
+def _check_bound(source: str, n: int):
     if source == "primes":
         if n < 2:
             raise ValueError("no primes below 2")
-        return primes_in_range(2, n)
-    if source == "naturals":
+    elif source == "naturals":
         if n < 1:
             raise ValueError("need N >= 1")
-        return np.arange(1, n + 1, dtype=np.int64)
-    raise ValueError(f"unknown source {source!r}")
+    else:
+        raise ValueError(f"unknown source {source!r}")
+
+
+def _source_values(source: str, n: int, values: np.ndarray | None = None) -> np.ndarray:
+    """The source elements up to N, ascending.  With `values` (the source
+    already generated to a bound >= N) this is its prefix, a view."""
+    _check_bound(source, n)
+    if values is not None:
+        return values[:np.searchsorted(values, n, side="right")]
+    if source == "primes":
+        return primes_in_range(2, n)
+    budget = sieve_budget()
+    if n > budget:
+        raise BudgetError(f"source bound {n} exceeds budget {budget}")
+    return np.arange(1, n + 1, dtype=np.int64)
+
+
+def _schedule_values(source: str, n_schedule: list[int]) -> np.ndarray | None:
+    """The source up to the largest N of a schedule, generated once, so that
+    every N takes a prefix.  Every N is checked before anything is sieved."""
+    for n in n_schedule:
+        _check_bound(source, n)
+    return _source_values(source, max(n_schedule)) if n_schedule else None
+
+
+def _natural_class_counts(n: int, a: int) -> np.ndarray:
+    """#{1 <= m <= N : m = c mod A} for every class c, in O(A) for any N:
+    N // A full periods, plus one for 1 <= c <= N mod A."""
+    counts = np.full(a, n // a, dtype=np.int64)
+    counts[1: n % a + 1] += 1
+    return counts
 
 
 def orbit_histogram(basis: Basis, r: int, rho: list[AdicInt], n: int, source: str,
-                    max_modulus: int = DEFAULT_MAX_MODULUS) -> OrbitHistogram:
-    """Exact bin counts of rho over the source, reduced mod A.
+                    max_modulus: int = DEFAULT_MAX_MODULUS,
+                    values: np.ndarray | None = None) -> OrbitHistogram:
+    """Exact bin counts of rho over the source up to N, reduced mod A.
 
-    One O(N) pass over the source plus an O(A) polynomial table; the same
-    histogram serves every character and every translate."""
+    The class counts mod A are closed-form over the naturals, O(A) for any N,
+    and one bincount of the sieved primes otherwise (a prefix of `values`,
+    the primes sieved once for a whole schedule, when given).  An O(A)
+    polynomial table maps classes to bins; the same histogram serves every
+    character and every translate."""
     table = _poly_table(basis, r, rho, max_modulus)
     a = len(table)
-    values = _source_values(source, n)
-    class_counts = np.bincount(values % a, minlength=a)
+    if source == "naturals":
+        _check_bound(source, n)
+        _check_budget(n, int(np.iinfo(np.int64).max), "N")
+        class_counts, total = _natural_class_counts(n, a), n
+    else:
+        primes = _source_values(source, n, values)
+        class_counts, total = np.bincount(primes % a, minlength=a), len(primes)
     counts = np.zeros(a, dtype=np.int64)
     np.add.at(counts, table, class_counts)
-    return OrbitHistogram(basis, r, counts, len(values), source)
+    return OrbitHistogram(basis, r, counts, total, source)
 
 
 def character_table(chi: Character) -> np.ndarray:
@@ -48,11 +86,20 @@ def character_table(chi: Character) -> np.ndarray:
     return np.exp(2j * np.pi * nums / a)
 
 
+def adic_weyl_sums(chi: Character, rho: list[AdicInt], n_schedule: list[int], source: str,
+                   max_modulus: int = DEFAULT_MAX_MODULUS) -> list[complex]:
+    """Normalized sums of chi(rho(p)) over primes (or naturals) up to each N
+    of a schedule; the primes are sieved once, to the largest N."""
+    values = _schedule_values(source, n_schedule) if source == "primes" else None
+    return [weyl_sum_from_histogram(
+                chi, orbit_histogram(chi.basis, chi.r, rho, n, source, max_modulus, values))
+            for n in n_schedule]
+
+
 def adic_weyl_sum(chi: Character, rho: list[AdicInt], n: int, source: str,
                   max_modulus: int = DEFAULT_MAX_MODULUS) -> complex:
     """Normalized sum of chi(rho(p)) over primes (or naturals) up to N."""
-    hist = orbit_histogram(chi.basis, chi.r, rho, n, source, max_modulus)
-    return weyl_sum_from_histogram(chi, hist)
+    return adic_weyl_sums(chi, rho, [n], source, max_modulus)[0]
 
 
 def weyl_sum_from_histogram(chi: Character, hist: OrbitHistogram) -> complex:
@@ -61,20 +108,19 @@ def weyl_sum_from_histogram(chi: Character, hist: OrbitHistogram) -> complex:
     return complex(np.sum(hist.counts * character_table(chi)) / hist.total)
 
 
-def _dyadic_phase_terms(coeffs: list[Fraction], values: np.ndarray) -> np.ndarray:
-    """Fractional parts of sum_j coeffs[j] * n^j, exactly, for each n.
-
-    Floats are exact dyadic rationals, so the phases are computed as exact
-    integers over a common power-of-two denominator before the single final
-    rounding to double.
-    """
+def _over_common_denominator(coeffs: list[Fraction]) -> tuple[list[int], int]:
+    """Numerators mod den over the least common denominator den."""
     den = 1
     for c in coeffs:
         den = den * c.denominator // math.gcd(den, c.denominator)
-    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    return [c.numerator * (den // c.denominator) % den for c in coeffs], den
+
+
+def _bigint_phase_terms(nums: list[int], den: int, values: np.ndarray) -> np.ndarray:
+    """(sum_j nums[j] * n^j mod den) / den for each n, one value at a time in
+    Python ints: any denominator, and the reference for the uint64 path."""
     out = np.empty(len(values), dtype=np.float64)
-    for i, n in enumerate(values):
-        n = int(n)
+    for i, n in enumerate(values.tolist()):
         acc = 0
         for m in reversed(nums):
             acc = acc * n + m
@@ -82,10 +128,34 @@ def _dyadic_phase_terms(coeffs: list[Fraction], values: np.ndarray) -> np.ndarra
     return out
 
 
-def torus_weyl_sum(beta: list[float | Fraction], n: int, source: str) -> complex:
-    """Normalized sum of e(2*pi*i * rho(p)) over the source, with
-    rho(x) = beta[0] + beta[1] x + ... + beta[k] x^k."""
+def _dyadic_phase_terms(coeffs: list[Fraction], values: np.ndarray) -> np.ndarray:
+    """Fractional parts of sum_j coeffs[j] * n^j, exactly, for each n.
+
+    Floats are exact dyadic rationals, so the phases are computed as exact
+    integers over a common denominator before the single final rounding to
+    double.  When the denominator divides 2^64, as it does for every double of
+    size >= 2^-12, Horner runs on the whole vector in wrapping uint64: a
+    residue mod 2^64 keeps the residue mod den.  The uint64 to double cast
+    rounds once, like the Python division, and the division by a power of two
+    is exact.
+    """
+    nums, den = _over_common_denominator(coeffs)
+    if (1 << 64) % den:
+        return _bigint_phase_terms(nums, den, values)
+    points = values.astype(np.uint64)
+    acc = np.zeros(len(points), dtype=np.uint64)
+    for m in reversed(nums):
+        acc *= points
+        acc += np.uint64(m)
+    return (acc & np.uint64(den - 1)).astype(np.float64) / den
+
+
+def torus_weyl_sum(beta: list[float | Fraction], n: int, source: str,
+                   values: np.ndarray | None = None) -> complex:
+    """Normalized sum of e(2*pi*i * rho(p)) over the source up to N, with
+    rho(x) = beta[0] + beta[1] x + ... + beta[k] x^k.  `values` may carry the
+    source generated once to a bound >= N; the sum runs over its prefix."""
     coeffs = [b if isinstance(b, Fraction) else Fraction(b) for b in beta]
-    values = _source_values(source, n)
-    phases = _dyadic_phase_terms(coeffs, values)
-    return complex(np.sum(np.exp(2j * np.pi * phases)) / len(values))
+    points = _source_values(source, n, values)
+    phases = _dyadic_phase_terms(coeffs, points)
+    return complex(np.sum(np.exp(2j * np.pi * phases)) / len(points))

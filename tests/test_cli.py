@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from adicergo import cli, weyl
+from adicergo.adic import embed
 from adicergo.basis import parse_basis
 from adicergo.characters import Character
 from adicergo.cli import main
-from adicergo.ergodic import CylinderFunction, cylinder_to_dict
-from adicergo.weyl import character_table
+from adicergo.ergodic import CylinderFunction, cylinder_to_dict, torus_average
+from adicergo.weyl import adic_weyl_sum, character_table
 
 
 def run(argv):
@@ -163,3 +165,91 @@ def test_modulus_past_vector_limit_is_a_budget_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_missing_config_file(tmp_path, capsys):
+    assert run(["gauss", "--q", "5", "--config", str(tmp_path / "none.json")]) == 1
+    assert "none.json" in assert_one_error_line(capsys)
+
+
+def test_bad_config_json(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("{not json")
+    assert run(["gauss", "--q", "5", "--config", str(path)]) == 1
+    assert "not valid JSON" in assert_one_error_line(capsys)
+
+
+def test_missing_function_file(tmp_path, capsys):
+    assert run(["average", "--function", str(tmp_path / "none.json"),
+                "--rho", "0,0,1"]) == 1
+    assert "none.json" in assert_one_error_line(capsys)
+
+
+def test_function_file_without_values(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"basis": "const:2", "r": 2}))
+    assert run(["limit", "--function", str(path), "--rho", "0,0,1"]) == 1
+    assert "values" in assert_one_error_line(capsys)
+
+
+def test_memory_error_is_a_budget_exit(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+    monkeypatch.setattr(cli, "complete_exp_sum", exhausted)
+    assert run(["gauss", "--q", "5"]) == 2
+    assert "out of memory" in assert_one_error_line(capsys)
+
+
+def test_torus_naturals_checked_against_budget(monkeypatch, capsys):
+    monkeypatch.setenv("ADICERGO_MAX_N", "1000")
+    aranges = []
+    arange = np.arange
+    monkeypatch.setattr(np, "arange", lambda *a, **k: aranges.append(a) or arange(*a, **k))
+    assert run(["torus", "--beta", "0,0.5", "--N", "5000", "--source", "naturals"]) == 2
+    assert "budget" in assert_one_error_line(capsys)
+    assert aranges == []
+
+
+def test_weyl_naturals_at_huge_n(capsys):
+    # closed-form class counts: no sieve budget, no N-sized array
+    assert run(["weyl", "--basis", "const:2", "--char", "1/8", "--rho", "0,0,1",
+                "--source", "naturals", "--N", "1000000000000"]) == 0
+    assert capsys.readouterr().out.startswith("weyl sum N=1000000000000: ")
+    assert run(["weyl", "--basis", "const:2", "--char", "1/8", "--rho", "0,0,1",
+                "--source", "naturals", "--N", str(2**63)]) == 2
+
+
+def test_one_sieve_per_command(monkeypatch, tmp_path):
+    calls = []
+    sieve = weyl.primes_in_range
+    monkeypatch.setattr(weyl, "primes_in_range",
+                        lambda lo, hi: calls.append((lo, hi)) or sieve(lo, hi))
+    schedule = [3000, 1000, 3000, 20000]
+    assert run(["weyl", "--basis", "cycle:2,3,5", "--char", "7/30", "--rho", "0,0,1",
+                "--N", ",".join(map(str, schedule)), "--out", str(tmp_path / "w")]) == 0
+    assert calls == [(2, 20000)]
+    chi = Character(parse_basis("cycle:2,3,5"), 2, 7)
+    rho = [embed(c, chi.basis, 2) for c in (0, 0, 1)]
+    rows = read_csv(tmp_path / "w.csv")[1:]
+    for n, row in zip(schedule, rows):
+        s = adic_weyl_sum(chi, rho, n, "primes")
+        assert row[1:3] == [format(s.real, ".17g"), format(s.imag, ".17g")]
+
+    calls.clear()
+    beta = [0.0, 0.7071067811865476, 1.4142135623730951]
+    trig = {1: 1 + 0j, 2: 1 + 0j, 3: 1 + 0j}
+    assert run(["torus", "--beta", ",".join(map(repr, beta)), "--freqs", "1;2;3",
+                "--coeffs", "1;1;1", "--N", "5000,300,5000",
+                "--out", str(tmp_path / "t")]) == 0
+    assert calls == [(2, 5000)]
+    rows = read_csv(tmp_path / "t.csv")[1:]
+    for n, row in zip([5000, 300, 5000], rows):
+        s = torus_average(trig, beta, 0.0, n, "primes")
+        assert row[1:3] == [format(s.real, ".17g"), format(s.imag, ".17g")]

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from adicergo.multipliers import BudgetError
-from adicergo.primes import prime_count, primes_in_range
+from adicergo.primes import _SEGMENT, prime_count, primes_in_range
 
 
 def trial_division_primes(lo, hi):
@@ -11,6 +13,19 @@ def trial_division_primes(lo, hi):
         if all(n % p for p in range(2, int(n ** 0.5) + 1)):
             out.append(n)
     return out
+
+
+def is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def plain_sieve(hi):
+    """Every integer flagged, no segments: an oracle independent of the odd-only layout."""
+    flags = np.ones(hi + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(hi) + 1):
+        flags[p * p:: p] = False
+    return np.flatnonzero(flags)
 
 
 def test_small_examples():
@@ -53,3 +68,24 @@ def test_env_budget(monkeypatch):
     with pytest.raises(BudgetError):
         primes_in_range(2, 2000)
     assert prime_count(1000) == 168
+
+
+@pytest.mark.parametrize("hi", [2, 3, 4, 2**21 - 1, 2**21, 2**21 + 1, 3 * 2**21 + 17])
+def test_odd_only_sieve_against_trial_division(hi):
+    got = primes_in_range(2, hi)
+    assert got.dtype == np.int64
+    # trial division on every integer near each segment edge (an odd-only
+    # segment of _SEGMENT flags spans 2 * _SEGMENT integers from 3) and near hi
+    edges = [3 + k * 2 * _SEGMENT for k in range(hi // (2 * _SEGMENT) + 1)] + [hi]
+    window = sorted({n for e in edges for n in range(max(2, e - 60), min(hi, e + 60) + 1)})
+    found = set(got.tolist())
+    assert [n for n in window if n in found] == [n for n in window if is_prime(n)]
+    assert np.array_equal(got, plain_sieve(hi))
+
+
+@pytest.mark.parametrize("lo", [0, 1, 2, 3, 4, 5, 2 * _SEGMENT + 1, 2 * _SEGMENT + 2,
+                                2 * _SEGMENT + 3, 2 * _SEGMENT + 4])
+def test_odd_only_sieve_lower_bounds(lo):
+    hi = 4 * _SEGMENT + 11
+    expected = plain_sieve(hi)
+    assert np.array_equal(primes_in_range(lo, hi), expected[expected >= lo])

@@ -4,14 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adicergo import weyl
 
 from adicergo.adic import embed, eval_poly
 from adicergo.basis import parse_basis
 from adicergo.characters import Character, char_value, reduce_phase
 from adicergo.multipliers import BudgetError, multiplier_natural
 from adicergo.primes import primes_in_range
-from adicergo.weyl import (adic_weyl_sum, orbit_histogram, torus_weyl_sum,
-                           weyl_sum_from_histogram)
+from adicergo.weyl import (adic_weyl_sum, adic_weyl_sums, orbit_histogram,
+                           torus_weyl_sum, weyl_sum_from_histogram)
 
 DYADIC = parse_basis("const:2")
 CYCLE = parse_basis("cycle:2,3,5")
@@ -119,3 +123,89 @@ def test_torus_phases_are_exact_dyadics():
     s = torus_weyl_sum([0.0, Fraction(1, 4)], 8, "naturals")
     expected = sum(cmath.exp(2j * cmath.pi * (n / 4 % 1)) for n in range(1, 9)) / 8
     assert s == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("n,a", [(1, 8), (5, 8), (7, 30), (30, 30), (240, 8), (97, 30),
+                                 (12345, 900), (899, 900), (1800, 900)])
+def test_natural_class_counts_closed_form(n, a):
+    expected = np.bincount(np.arange(1, n + 1) % a, minlength=a)
+    got = weyl._natural_class_counts(n, a)
+    assert got.dtype == np.int64 and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("basis", [DYADIC, CYCLE])
+@pytest.mark.parametrize("n", [1, 7, 29, 30, 31, 600, 1001])
+def test_natural_histogram_matches_counted(basis, n):
+    r = 2 if basis is CYCLE else 4
+    rho = [embed(c, basis, r) for c in (3, 1, 2)]
+    hist = orbit_histogram(basis, r, rho, n, "naturals")
+    values = np.arange(1, n + 1)
+    expected = np.bincount([eval_poly(rho, int(v)).v for v in values],
+                           minlength=basis.modulus(r))
+    assert np.array_equal(hist.counts, expected) and hist.total == n
+
+
+def test_natural_histogram_is_order_a_at_huge_n(monkeypatch):
+    # counts are closed-form: N = 10^12 allocates nothing N-sized, and the
+    # sieve budget (which caps every generated source) does not apply
+    monkeypatch.setenv("ADICERGO_MAX_N", "1000")
+    n = 10**12
+    hist = orbit_histogram(DYADIC, 2, square(DYADIC, 2), n, "naturals")
+    assert hist.total == n and hist.counts.sum() == n
+    assert list(hist.counts) == [n // 4, n // 2, 0, 0, n // 4, 0, 0, 0]
+    chi = Character(DYADIC, 2, 1)
+    s = adic_weyl_sum(chi, square(DYADIC, 2), n, "naturals")
+    assert abs(s - multiplier_natural(reduce_phase(chi, square(DYADIC, 2))).value) < 1e-12
+    with pytest.raises(BudgetError):
+        orbit_histogram(DYADIC, 2, square(DYADIC, 2), 2**63, "naturals")
+
+
+def test_schedule_sums_equal_single_sums():
+    # one sieve, prefixes per N: bit-identical to sieving for each N
+    chi = Character(CYCLE, 2, 7)
+    rho = [embed(c, CYCLE, 2) for c in (1, 2, 5)]
+    schedule = [3000, 100, 3000, 2, 20000]
+    for source in ("primes", "naturals"):
+        got = adic_weyl_sums(chi, rho, schedule, source)
+        assert got == [adic_weyl_sum(chi, rho, n, source) for n in schedule]
+    assert adic_weyl_sums(chi, rho, [], "primes") == []
+    with pytest.raises(ValueError, match="no primes"):
+        adic_weyl_sums(chi, rho, [100, 1], "primes")
+
+
+@st.composite
+def dyadic_polys(draw):
+    """Signed dyadic coefficients of degree 0-4 over a denominator 2^k, k <= 64."""
+    k = draw(st.integers(0, 64))
+    degree = draw(st.integers(0, 4))
+    return [Fraction(draw(st.integers(-2**70, 2**70)), 2 ** draw(st.integers(0, k)))
+            for _ in range(degree + 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dyadic_polys(), st.lists(st.integers(1, 2**40), min_size=1, max_size=40))
+def test_uint64_phases_match_bigint_loop(coeffs, points):
+    values = np.array(points, dtype=np.int64)
+    nums, den = weyl._over_common_denominator(coeffs)
+    assert (1 << 64) % den == 0
+    fast = weyl._dyadic_phase_terms(coeffs, values)
+    slow = weyl._bigint_phase_terms(nums, den, values)
+    assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
+
+
+@pytest.mark.parametrize("coeffs", [
+    [Fraction(1, 3), Fraction(2, 7)],
+    [Fraction(0), Fraction(1, 2**65)],
+    [Fraction(5, 2**65), Fraction(-3, 4), Fraction(1, 2**60)],
+    [Fraction(0), Fraction(1e-30)],
+])
+def test_phase_fallback_for_other_denominators(coeffs, monkeypatch):
+    calls = []
+    bigint = weyl._bigint_phase_terms
+    monkeypatch.setattr(weyl, "_bigint_phase_terms",
+                        lambda *args: calls.append(args) or bigint(*args))
+    values = primes_in_range(2, 3000)
+    got = weyl._dyadic_phase_terms(coeffs, values)
+    assert len(calls) == 1
+    exact = [float(sum(c * int(v) ** j for j, c in enumerate(coeffs)) % 1) for v in values]
+    assert np.array_equal(got, np.array(exact))
