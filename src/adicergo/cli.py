@@ -6,14 +6,17 @@ import argparse
 import csv
 import json
 import sys
+import types
+import typing
 from dataclasses import dataclass
+
+import numpy as np
 
 from .adic import AdicInt, embed
 from .basis import Basis, parse_basis
 from .characters import Character, parse_character, reduce_phase
 from .ergodic import (CylinderFunction, compare, cylinder_from_dict,
-                      cylinder_to_dict, empirical_average, predicted_limit,
-                      torus_averages)
+                      empirical_average, predicted_limit, torus_averages)
 from .multipliers import (DEFAULT_MAX_MODULUS, BudgetError, complete_exp_sum,
                           multiplier_natural, multiplier_prime, wiener_energy)
 from .weyl import adic_weyl_sums
@@ -75,6 +78,20 @@ class ExperimentConfig:
             raise SystemExit(f"error: {exc}") from None
 
 
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has an annotated config type: str, int (not
+    bool), list[int], or a union of them with None."""
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    return type(value) is hint
+
+
 def _read_json(path: str):
     with open(path) as fh:
         try:
@@ -88,12 +105,17 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if getattr(args, "config", None):
         doc = _read_json(args.config)
+        if isinstance(doc, dict):
+            doc = doc.get("config", doc)
         if not isinstance(doc, dict):
             raise ValueError(f"config file {args.config} is not a JSON object")
-        doc = doc.get("config", doc)
         for key, value in doc.items():
             if not hasattr(cfg, key):
                 raise SystemExit(f"error: unknown config key {key!r}")
+            hint = _FIELD_TYPES[key]
+            if not _fits(value, hint):
+                raise ValueError(f"config key {key!r} must be {getattr(hint, '__name__', hint)},"
+                                 f" not {value!r}")
             setattr(cfg, key, value)
     for key in vars(cfg):
         flag = getattr(args, key, None)
@@ -102,29 +124,75 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def emit_report(cfg: ExperimentConfig, rows: list[dict], summary: dict,
-                header: list[str] | None = None):
-    """Write <out>.csv (the row series) and <out>.json (config echo plus
-    summary); all floats at full double precision."""
+def emit_report(cfg: ExperimentConfig, columns: dict, summary: dict):
+    """Write <out>.csv (one column per key of `columns`, a name mapped to a
+    sequence) and <out>.json (config echo plus summary).
+
+    CSV floats are written with 17 significant digits.  The JSON is
+    json.dumps(indent=2): floats in their shortest round-trip repr, NaN and
+    Infinity as json's tokens, complex numbers and complex vectors as
+    [re, im] pairs.
+    """
     if cfg.out is None:
         return
-    if header is None:
-        header = list(rows[0]) if rows else []
+    text = _json_text({"config": cfg.to_dict(), **summary})  # first: a refusal writes no file
     with open(cfg.out + ".csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row.values()])
-    doc = {"config": cfg.to_dict(), **summary}
+        writer.writerow(list(columns))
+        writer.writerows(zip(*map(_csv_cells, columns.values())))
     with open(cfg.out + ".json", "w") as fh:
-        json.dump(doc, fh, indent=2, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _csv_cells(column) -> list:
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    return [_fmt(v) if isinstance(v, float) else v for v in values]
 
 
 def _json_default(v):
     if isinstance(v, complex):
         return [v.real, v.imag]
     raise TypeError(f"not serializable: {type(v)}")
+
+
+_VECTOR = "\0"  # stands for a complex vector in the text json.dumps writes
+
+
+def _json_text(doc: dict) -> str:
+    """json.dumps(doc, indent=2, default=_json_default), where a complex
+    vector is written as its list of [re, im] pairs in one step rather than
+    pair by pair."""
+    vectors = []
+
+    def default(v):
+        if isinstance(v, np.ndarray) and v.dtype == np.complex128 and v.ndim == 1:
+            vectors.append(v)
+            return _VECTOR
+        return _json_default(v)
+
+    parts = json.dumps(doc, indent=2, default=default).split(json.dumps(_VECTOR))
+    if len(parts) != len(vectors) + 1:
+        raise ValueError("report strings may not hold a NUL character")
+    text = [parts[0]]
+    for vec, part in zip(vectors, parts[1:]):
+        line = text[-1].rpartition("\n")[2]
+        text += [_vector_json(vec, len(line) - len(line.lstrip(" "))), part]
+    return "".join(text)
+
+
+def _vector_json(vec: np.ndarray, indent: int) -> str:
+    """The list of [re, im] pairs of a complex vector as json.dumps(indent=2)
+    writes it on a line indented by `indent` spaces: the template is filled
+    with the float reprs in one step, then nan/inf become NaN/Infinity."""
+    if not len(vec):
+        return "[]"
+    outer = "\n" + " " * (indent + 2)
+    inner = "\n" + " " * (indent + 4)
+    pair = f"[{inner}%s,{inner}%s{outer}]"
+    template = f"[{outer}" + f",{outer}".join([pair] * len(vec)) + "\n" + " " * indent + "]"
+    floats = np.column_stack((vec.real, vec.imag)).ravel().tolist()
+    text = template % tuple(map(float.__repr__, floats))
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def _print_complex(label: str, z: complex):
@@ -145,7 +213,7 @@ def cmd_gauss(cfg: ExperimentConfig) -> int:
     psi = [int(c) for c in (cfg.psi or "0,1").split(",")]
     value = complete_exp_sum(psi, cfg.q)
     _print_complex("complete exponential sum", value)
-    emit_report(cfg, [{"q": cfg.q, "re": value.real, "im": value.imag, "abs": abs(value)}],
+    emit_report(cfg, {"q": [cfg.q], "re": [value.real], "im": [value.imag], "abs": [abs(value)]},
                 {"value": value, "magnitude": abs(value)})
     return 0
 
@@ -158,8 +226,8 @@ def cmd_multiplier(cfg: ExperimentConfig) -> int:
     phase = reduce_phase(chi, rho)
     mult = multiplier_prime(phase) if cfg.kind == "prime" else multiplier_natural(phase)
     _print_complex(f"{cfg.kind} multiplier (modulus {phase.modulus})", mult.value)
-    emit_report(cfg, [{"char": chi.spec_string(), "modulus": phase.modulus,
-                       "re": mult.value.real, "im": mult.value.imag}],
+    emit_report(cfg, {"char": [chi.spec_string()], "modulus": [phase.modulus],
+                      "re": [mult.value.real], "im": [mult.value.imag]},
                 {"multiplier": mult.value, "modulus": phase.modulus, "kind": cfg.kind})
     return 0
 
@@ -169,14 +237,27 @@ def cmd_weyl(cfg: ExperimentConfig) -> int:
     chi = cfg.parsed_char(basis)
     rho = cfg.parsed_rho(basis, chi.r)
     schedule = cfg.schedule([10**4])
-    rows = []
-    for n, value in zip(schedule, adic_weyl_sums(chi, rho, schedule, cfg.source,
-                                                 cfg.max_modulus)):
+    sums = adic_weyl_sums(chi, rho, schedule, cfg.source, cfg.max_modulus)
+    for n, value in zip(schedule, sums):
         _print_complex(f"weyl sum N={n}", value)
-        rows.append({"N": n, "re": value.real, "im": value.imag, "abs": abs(value)})
-    emit_report(cfg, rows, {"char": chi.spec_string(), "source": cfg.source},
-                header=["N", "re", "im", "abs"])
+    emit_report(cfg, _series_columns(schedule, sums),
+                {"char": chi.spec_string(), "source": cfg.source})
     return 0
+
+
+def _series_columns(schedule: list[int], values: list[complex]) -> dict:
+    return {"N": schedule, "re": [v.real for v in values], "im": [v.imag for v in values],
+            "abs": [abs(v) for v in values]}
+
+
+def _vector_columns(values: np.ndarray) -> dict:
+    return {"c": range(len(values)), "re": values.real, "im": values.imag}
+
+
+def _function_doc(f: CylinderFunction) -> dict:
+    """The document of cylinder_to_dict, with the values left a complex
+    vector for emit_report to write in one step."""
+    return {"basis": f.basis.spec_string(), "r": f.r, "values": f.values}
 
 
 def _load_function(cfg: ExperimentConfig) -> CylinderFunction:
@@ -193,8 +274,8 @@ def cmd_average(cfg: ExperimentConfig) -> int:
     rho = cfg.parsed_rho(f.basis, f.r)
     n = (cfg.schedule([10**4]) or [10**4])[-1]
     avg = empirical_average(f, rho, n, cfg.source, cfg.max_modulus)
-    rows = [{"c": c, "re": v.real, "im": v.imag} for c, v in enumerate(avg.values)]
-    emit_report(cfg, rows, {"result": cylinder_to_dict(avg), "N": n, "source": cfg.source})
+    emit_report(cfg, _vector_columns(avg.values),
+                {"result": _function_doc(avg), "N": n, "source": cfg.source})
     print(f"averaged {f.modulus} residues at N={n} over {cfg.source}")
     return 0
 
@@ -204,8 +285,7 @@ def cmd_limit(cfg: ExperimentConfig) -> int:
     rho = cfg.parsed_rho(f.basis, f.r)
     _degree_notice(cfg, rho)
     lim = predicted_limit(f, rho, cfg.kind, cfg.max_modulus)
-    rows = [{"c": c, "re": v.real, "im": v.imag} for c, v in enumerate(lim.values)]
-    emit_report(cfg, rows, {"result": cylinder_to_dict(lim), "kind": cfg.kind})
+    emit_report(cfg, _vector_columns(lim.values), {"result": _function_doc(lim), "kind": cfg.kind})
     print(f"predicted limit over {lim.modulus} residues ({cfg.kind} kind)")
     return 0
 
@@ -216,16 +296,15 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     _degree_notice(cfg, rho)
     schedule = cfg.schedule([10**3, 10**4, 10**5])
     report = compare(f, rho, schedule, cfg.kind, cfg.max_modulus)
-    rows = [{"N": n, "sup": s, "l2": l}
-            for n, s, l in zip(report.n_schedule, report.sup_distances, report.l2_distances)]
-    for row in rows:
-        print(f"N={row['N']}: sup {_fmt(row['sup'])}  l2 {_fmt(row['l2'])}")
-    emit_report(cfg, rows, {
+    for n, s, l in zip(report.n_schedule, report.sup_distances, report.l2_distances):
+        print(f"N={n}: sup {_fmt(s)}  l2 {_fmt(l)}")
+    emit_report(cfg, {"N": report.n_schedule, "sup": report.sup_distances,
+                      "l2": report.l2_distances}, {
         "sup_norm": report.sup_distances,
         "l2_norm": report.l2_distances,
         "multipliers": report.multipliers,
         "sup_nonincreasing": report.sup_nonincreasing,
-    }, header=["N", "sup", "l2"])
+    })
     return 0
 
 
@@ -239,15 +318,17 @@ def cmd_torus(cfg: ExperimentConfig) -> int:
     coeffs = [complex(part) for part in (cfg.coeffs or "1").split(";")]
     if len(freqs) != len(coeffs):
         raise SystemExit("error: --freqs and --coeffs must have the same length")
-    trig = {f if len(f) > 1 else f[0]: c for f, c in zip(freqs, coeffs)}
+    trig = {}  # a repeated frequency adds its coefficients
+    for f, c in zip(freqs, coeffs):
+        key = f if len(f) > 1 else f[0]
+        trig[key] = trig[key] + c if key in trig else c
     xs = tuple(float(v) for v in cfg.x.split(","))
     x = xs if len(xs) > 1 else xs[0]
     schedule = cfg.schedule([10**4])
-    rows = []
-    for n, value in zip(schedule, torus_averages(trig, beta, x, schedule, cfg.source)):
+    averages = torus_averages(trig, beta, x, schedule, cfg.source)
+    for n, value in zip(schedule, averages):
         _print_complex(f"torus average N={n}", value)
-        rows.append({"N": n, "re": value.real, "im": value.imag, "abs": abs(value)})
-    emit_report(cfg, rows, {"source": cfg.source}, header=["N", "re", "im", "abs"])
+    emit_report(cfg, _series_columns(schedule, averages), {"source": cfg.source})
     return 0
 
 
@@ -257,10 +338,12 @@ def cmd_wiener(cfg: ExperimentConfig) -> int:
         raise SystemExit("error: --r-max is required")
     rho = cfg.parsed_rho(basis, cfg.r_max)
     series = wiener_energy(basis, rho, cfg.r_max, cfg.kind, cfg.max_modulus)
-    rows = [{"r": r, "A_r": basis.modulus(r), "W_r": w} for r, w in series]
-    for row in rows:
-        print(f"r={row['r']}  A_r={row['A_r']}  W_r={_fmt(row['W_r'])}")
-    emit_report(cfg, rows, {"kind": cfg.kind, "series": [[r, w] for r, w in series]})
+    levels = [r for r, _ in series]
+    for r, w in series:
+        print(f"r={r}  A_r={basis.modulus(r)}  W_r={_fmt(w)}")
+    emit_report(cfg, {"r": levels, "A_r": [basis.modulus(r) for r in levels],
+                      "W_r": [w for _, w in series]},
+                {"kind": cfg.kind, "series": [[r, w] for r, w in series]})
     return 0
 
 

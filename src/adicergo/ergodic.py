@@ -67,16 +67,24 @@ def translate(f: CylinderFunction, y: int) -> CylinderFunction:
 
 
 def empirical_average(f: CylinderFunction, rho: list[AdicInt], n: int, source: str,
-                      max_modulus: int = DEFAULT_MAX_MODULUS) -> CylinderFunction:
+                      max_modulus: int = DEFAULT_MAX_MODULUS,
+                      values: np.ndarray | None = None) -> CylinderFunction:
     """The shift average x -> (1/total) sum over the source of f(x + rho(p)).
 
     Computed from the orbit histogram: a weighted sum of translates of f,
-    one per occupied residue class.
+    one per occupied residue class, accumulated class by class.  The
+    translate by c is the slice [c, c + A) of f written out twice, so no
+    shifted copy is made.  `values` may carry the primes sieved once for a
+    whole schedule, as in `orbit_histogram`.
     """
-    hist = orbit_histogram(f.basis, f.r, rho, n, source, max_modulus)
-    out = np.zeros(f.modulus, dtype=np.complex128)
+    hist = orbit_histogram(f.basis, f.r, rho, n, source, max_modulus, values)
+    a = f.modulus
+    twice = np.concatenate((f.values, f.values))
+    out = np.zeros(a, dtype=np.complex128)
+    term = np.empty(a, dtype=np.complex128)
     for c in np.flatnonzero(hist.counts):
-        out += (hist.counts[c] / hist.total) * np.roll(f.values, -c)
+        np.multiply(hist.counts[c] / hist.total, twice[c:c + a], out=term)
+        out += term
     return CylinderFunction(f.basis, f.r, out)
 
 
@@ -110,7 +118,7 @@ class ComparisonReport:
     n_schedule: list[int]
     sup_distances: list[float]
     l2_distances: list[float]
-    multipliers: list[complex]
+    multipliers: np.ndarray  # complex, indexed by character numerator
     sup_nonincreasing: bool = field(init=False)
 
     def __post_init__(self):
@@ -121,17 +129,19 @@ class ComparisonReport:
 def compare(f: CylinderFunction, rho: list[AdicInt], n_schedule: list[int],
             kind: str = "prime", max_modulus: int = DEFAULT_MAX_MODULUS) -> ComparisonReport:
     """Run the empirical average over an N schedule against the predicted
-    limit; sup distance enumerates every point of the quotient."""
+    limit; sup distance enumerates every point of the quotient.  The primes
+    are sieved once, to the largest N, after every N is checked."""
     source = "primes" if kind == "prime" else "naturals"
     mults = multiplier_table(f.basis, f.r, rho, kind, max_modulus)
     limit = _apply_multipliers(f, mults, max_modulus)
+    values = _schedule_values(source, n_schedule) if source == "primes" else None
     sup, l2 = [], []
     for n in n_schedule:
-        avg = empirical_average(f, rho, n, source, max_modulus)
+        avg = empirical_average(f, rho, n, source, max_modulus, values)
         diff = avg.values - limit.values
         sup.append(float(np.max(np.abs(diff))))
         l2.append(float(np.sqrt(np.mean(np.abs(diff) ** 2))))
-    return ComparisonReport(list(n_schedule), sup, l2, [complex(m) for m in mults])
+    return ComparisonReport(list(n_schedule), sup, l2, mults)
 
 
 def _as_tuple(v) -> tuple:

@@ -10,7 +10,8 @@ from adicergo.adic import embed
 from adicergo.basis import parse_basis
 from adicergo.characters import Character
 from adicergo.cli import main
-from adicergo.ergodic import CylinderFunction, cylinder_to_dict, torus_average
+from adicergo.ergodic import (CylinderFunction, compare, cylinder_to_dict,
+                              torus_average)
 from adicergo.weyl import adic_weyl_sum, character_table
 
 
@@ -253,3 +254,64 @@ def test_one_sieve_per_command(monkeypatch, tmp_path):
     for n, row in zip([5000, 300, 5000], rows):
         s = torus_average(trig, beta, 0.0, n, "primes")
         assert row[1:3] == [format(s.real, ".17g"), format(s.imag, ".17g")]
+
+
+def test_one_sieve_per_compare(monkeypatch, tmp_path):
+    calls = []
+    sieve = weyl.primes_in_range
+    monkeypatch.setattr(weyl, "primes_in_range",
+                        lambda lo, hi: calls.append((lo, hi)) or sieve(lo, hi))
+    basis = parse_basis("cycle:2,3,5")
+    values = np.random.default_rng(3).normal(size=30) + 0.5j
+    fpath = write_function(tmp_path, "cycle:2,3,5", 2, values)
+    assert run(["compare", "--function", fpath, "--rho", "1,0,1", "--kind", "prime",
+                "--N", "1000,100,1000", "--out", str(tmp_path / "cmp")]) == 0
+    assert calls == [(2, 1000)]
+    doc = json.loads((tmp_path / "cmp.json").read_text())
+    f = CylinderFunction(basis, 2, values)
+    rho = [embed(c, basis, 2) for c in (1, 0, 1)]
+    for i, n in enumerate([1000, 100, 1000]):
+        single = compare(f, rho, [n], "prime")
+        assert doc["sup_norm"][i] == single.sup_distances[0]
+        assert doc["l2_norm"][i] == single.l2_distances[0]
+
+
+def test_bad_n_in_compare_fails_before_the_sieve(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(weyl, "primes_in_range", lambda lo, hi: calls.append((lo, hi)))
+    fpath = write_function(tmp_path, "const:2", 2, np.ones(8))
+    assert run(["compare", "--function", fpath, "--rho", "0,0,1",
+                "--N", "1000,1"]) == 1
+    assert "no primes" in assert_one_error_line(capsys)
+    assert calls == []
+
+
+def test_torus_repeated_frequency_adds_coefficients(tmp_path, capsys):
+    assert run(["torus", "--beta", "0,0.25", "--freqs", "1;1", "--coeffs", "1;2",
+                "--N", "1", "--source", "naturals", "--out", str(tmp_path / "t")]) == 0
+    assert "+ 3i  (abs 3)" in capsys.readouterr().out
+    row = read_csv(tmp_path / "t.csv")[1]
+    assert float(row[2]) == 3.0 and float(row[3]) == 3.0
+    assert abs(float(row[1])) < 1e-15
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    (["weyl"], {"n_schedule": 100}, "n_schedule"),
+    (["gauss"], {"q": "5"}, "q"),
+])
+def test_config_value_of_wrong_type(tmp_path, capsys, command, doc, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert run([*command, "--config", str(path)]) == 1
+    assert repr(key) in assert_one_error_line(capsys)
+
+
+def test_config_value_types_accepted(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"q": 5, "psi": "0,1", "n_schedule": [3, 4], "out": None}))
+    cfg = cli.parse_config(cli.build_parser().parse_args(["gauss", "--config", str(path)]))
+    assert (cfg.q, cfg.psi, cfg.n_schedule, cfg.out) == (5, "0,1", [3, 4], None)
+    for bad in ({"q": True}, {"n_schedule": [1, 2.0]}, {"source": None}, {"x": 0}):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match="must be"):
+            cli.parse_config(cli.build_parser().parse_args(["gauss", "--config", str(path)]))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adicergo.adic import embed, include_in_window
 from adicergo.basis import parse_basis
@@ -13,7 +15,9 @@ from adicergo.ergodic import (CylinderFunction, Spectrum, compare,
                               spectrum_from_dict, spectrum_to_dict,
                               torus_average, translate)
 from adicergo.multipliers import BudgetError
-from adicergo.weyl import adic_weyl_sum, character_table, torus_weyl_sum
+from adicergo.primes import primes_in_range
+from adicergo.weyl import (adic_weyl_sum, character_table, orbit_histogram,
+                           torus_weyl_sum)
 
 DYADIC = parse_basis("const:2")
 CYCLE = parse_basis("cycle:2,3,5")
@@ -141,6 +145,44 @@ def test_translation_equivariance_exact():
         lhs = empirical_average(translate(f, y), rho, 200, "primes").values
         rhs = translate(empirical_average(f, rho, 200, "primes"), y).values
         assert np.array_equal(lhs, rhs)
+
+
+def roll_average(f, rho, n, source):
+    """The shift average as a sum of np.roll translates, class by class."""
+    hist = orbit_histogram(f.basis, f.r, rho, n, source)
+    out = np.zeros(f.modulus, dtype=np.complex128)
+    for c in np.flatnonzero(hist.counts):
+        out += (hist.counts[c] / hist.total) * np.roll(f.values, -c)
+    return out
+
+
+@st.composite
+def average_cases(draw):
+    """(f, rho, N, source) with values that include signed zeros, NaN and
+    infinities, on plain and windowed bases."""
+    basis = parse_basis(draw(st.sampled_from(
+        ["const:2", "cycle:2,3,5", "const:2@offset:-1", "cycle:2,3,5@offset:-1"])))
+    r = draw(st.integers(basis.offset + 1, basis.offset + 3))
+    a = basis.modulus(r)
+    parts = draw(st.lists(st.floats(width=64), min_size=2 * a, max_size=2 * a))
+    f = CylinderFunction(basis, r, np.array(parts).view(np.complex128))
+    rho = [embed(c, basis, r) for c in draw(st.lists(st.integers(0, a - 1),
+                                                     min_size=2, max_size=4))]
+    return f, rho, draw(st.integers(2, 3000)), draw(st.sampled_from(["primes", "naturals"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(average_cases())
+def test_average_matches_roll_reference_bitwise(case):
+    f, rho, n, source = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = roll_average(f, rho, n, source).view(np.uint64)
+        got = empirical_average(f, rho, n, source).values
+        assert np.array_equal(got.view(np.uint64), want)
+        if source == "primes":  # a prefix of primes sieved past N gives the same bits
+            got = empirical_average(f, rho, n, source,
+                                    values=primes_in_range(2, n + 500)).values
+            assert np.array_equal(got.view(np.uint64), want)
 
 
 def test_window_support_preserved():

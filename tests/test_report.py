@@ -1,0 +1,127 @@
+"""emit_report writes the same bytes as the row-by-row reference writer:
+csv.writer with one dict per row and 17-digit floats, and json.dump(indent=2)
+of the document with every complex vector as a list of [re, im] pairs."""
+import csv
+import json
+import math
+
+import numpy as np
+import pytest
+
+from adicergo import cli
+from adicergo.adic import embed
+from adicergo.basis import parse_basis
+from adicergo.cli import ExperimentConfig, emit_report, main
+from adicergo.ergodic import (CylinderFunction, cylinder_to_dict,
+                              empirical_average, predicted_limit)
+
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+           2.2250738585072014e-308, 0.1, 1 / 3, 1e16, 123456789.0]
+
+
+def reference_json_default(v):
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    raise TypeError(f"not serializable: {type(v)}")
+
+
+def reference_report(out, cfg, rows, summary, header):
+    """The row-by-row writer: one csv row per dict, floats through format(.17g),
+    and json.dump of the document with vectors as lists of pairs."""
+    with open(out + ".csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else v
+                             for v in row.values()])
+    with open(out + ".json", "w") as fh:
+        json.dump({"config": cfg.to_dict(), **summary}, fh, indent=2,
+                  default=reference_json_default)
+        fh.write("\n")
+
+
+def pairs(values):
+    return [[float(v.real), float(v.imag)] for v in values]
+
+
+def vector_rows(values):
+    return [{"c": c, "re": v.real, "im": v.imag} for c, v in enumerate(values)]
+
+
+def read_both(prefix):
+    return [open(prefix + ext, "rb").read() for ext in (".csv", ".json")]
+
+
+def special_vectors():
+    rng = np.random.default_rng(5)
+    grid = np.array([complex(re, im) for re in SPECIAL for im in SPECIAL])
+    return [np.zeros(0, complex), np.array([complex(-0.0, math.nan)]),
+            np.array([complex(5e-324, -math.inf)]), grid,
+            rng.normal(size=50) + 1j * rng.normal(size=50)]
+
+
+@pytest.mark.parametrize("vec", special_vectors(), ids=lambda v: f"len{len(v)}")
+def test_vector_report_matches_reference(tmp_path, vec):
+    cfg = ExperimentConfig(basis="const:2", x="0,1", out=str(tmp_path / "new"))
+    emit_report(cfg, cli._vector_columns(vec), {
+        "result": {"basis": "const:2", "r": 3, "values": vec},
+        "multipliers": vec, "value": complex(-0.0, math.inf), "flag": True,
+        "series": [[1, 0.5], [2, math.nan]], "N": 7})
+    ref = ExperimentConfig(basis="const:2", x="0,1", out=str(tmp_path / "ref"))
+    reference_report(ref.out, cfg, vector_rows(vec), {
+        "result": {"basis": "const:2", "r": 3, "values": pairs(vec)},
+        "multipliers": [complex(v) for v in vec], "value": complex(-0.0, math.inf),
+        "flag": True, "series": [[1, 0.5], [2, math.nan]], "N": 7}, ["c", "re", "im"])
+    assert read_both(cfg.out) == read_both(ref.out)
+
+
+def test_scalar_and_empty_columns_match_reference(tmp_path):
+    cfg = ExperimentConfig(out=str(tmp_path / "new"))
+    emit_report(cfg, {"char": ["1/8"], "modulus": [8], "re": [-0.0], "im": [math.inf]},
+                {"multiplier": complex(-0.0, math.inf), "modulus": 8})
+    reference_report(str(tmp_path / "ref"), cfg,
+                     [{"char": "1/8", "modulus": 8, "re": -0.0, "im": math.inf}],
+                     {"multiplier": complex(-0.0, math.inf), "modulus": 8},
+                     ["char", "modulus", "re", "im"])
+    assert read_both(cfg.out) == read_both(str(tmp_path / "ref"))
+    emit_report(cfg, {"N": [], "sup": [], "l2": []}, {"sup_norm": []})
+    reference_report(str(tmp_path / "ref"), cfg, [], {"sup_norm": []}, ["N", "sup", "l2"])
+    assert read_both(cfg.out) == read_both(str(tmp_path / "ref"))
+
+
+def test_nul_in_a_report_string_is_refused(tmp_path):
+    cfg = ExperimentConfig(basis="\0", out=str(tmp_path / "new"))
+    with pytest.raises(ValueError, match="NUL"):
+        emit_report(cfg, {}, {"values": np.ones(2, complex)})
+    assert list(tmp_path.iterdir()) == []
+
+
+def function_file(tmp_path, basis, r, values):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(cylinder_to_dict(CylinderFunction(basis, r, values))))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["average", "limit"])
+def test_vector_commands_match_reference(tmp_path, command):
+    basis = parse_basis("cycle:2,3,5")
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=30) + 1j * rng.normal(size=30)
+    values[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), 5e-324, complex(1e308, -1e308)]
+    f = CylinderFunction(basis, 2, values)
+    fpath = function_file(tmp_path, basis, 2, values)
+    out = str(tmp_path / command)
+    argv = [command, "--function", fpath, "--rho", "1,0,1", "--out", out]
+    argv += ["--N", "500"] if command == "average" else ["--kind", "prime"]
+    assert main(argv) == 0
+    rho = [embed(c, basis, 2) for c in (1, 0, 1)]
+    if command == "average":
+        result = empirical_average(f, rho, 500, "primes")
+        extra = {"N": 500, "source": "primes"}
+    else:
+        result = predicted_limit(f, rho, "prime")
+        extra = {"kind": "prime"}
+    cfg = cli.parse_config(cli.build_parser().parse_args(argv))
+    reference_report(str(tmp_path / "ref"), cfg, vector_rows(result.values),
+                     {"result": cylinder_to_dict(result), **extra}, ["c", "re", "im"])
+    assert read_both(out) == read_both(str(tmp_path / "ref"))
