@@ -4,7 +4,7 @@ multipliers, prime Weyl sums, and the multiplier-predicted limits."""
 
 from .adic import (AdicInt, Digits, add_carry, add_mod, embed, eval_poly,
                    from_digits, include_in_window, is_generator, mul, neg,
-                   rebase, scale, to_digits, unrebase)
+                   poly_mod, rebase, scale, to_digits, unrebase)
 from .basis import Basis, parse_basis
 from .characters import (Character, ReducedPhase, char_eval, char_value,
                          parse_character, psi_restrict, reduce_phase,

@@ -4,7 +4,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .basis import Basis
+
+_INT64_HORNER_LIMIT = math.isqrt((1 << 63) - 1)  # the largest m with m*m < 2**63
 
 
 @dataclass(frozen=True)
@@ -113,19 +117,52 @@ def scale(n: int, x: AdicInt) -> AdicInt:
     return AdicInt(x.basis, x.r, (n * x.v) % x.modulus)
 
 
+def poly_mod(coeffs, modulus: int, points) -> np.ndarray:
+    """c_0 + c_1*t + ... + c_k*t^k mod m at every nonnegative integer point t,
+    exact for every m >= 1, by one Horner loop in the arithmetic m sets:
+
+    * m | 2^64 (dyadic torus denominators): wrapping uint64, masked at the end;
+    * m*m < 2^63 (cycle and Gauss moduli): int64 reduced at every step, exact
+      while every point is <= m (larger points are reduced first);
+    * otherwise (levels past int64): Python ints in an object array.
+
+    The residues come back as int64 whenever they fit (m <= 2^63), as uint64
+    for m = 2^64 and as Python ints beyond.
+    """
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
+    wrap = (1 << 64) % modulus == 0
+    if wrap:  # int64 points read as uint64 keep their residues mod 2^64
+        t = np.asarray(points)
+        t = t.view(np.uint64) if t.dtype == np.int64 else t.astype(np.uint64)
+    elif modulus <= _INT64_HORNER_LIMIT:
+        t = np.asarray(points, dtype=np.int64)
+        if len(t) and t.max() > modulus:
+            t = t % modulus
+    else:
+        t = np.asarray(points).astype(object)
+    *rest, top = [c % modulus for c in coeffs] or [0]
+    acc = np.full(len(t), top, dtype=t.dtype)
+    for c in reversed(rest):
+        acc *= t
+        acc += c
+        if not wrap:
+            acc %= modulus
+    if wrap:
+        acc &= np.uint64(modulus - 1)
+        return acc.view(np.int64) if modulus <= 1 << 63 else acc
+    return acc.astype(np.int64, copy=False) if modulus <= 1 << 63 else acc
+
+
 def eval_poly(rho: list[AdicInt], n: int) -> AdicInt:
-    """Evaluate rho[0] + rho[1]*n + ... + rho[k]*n^k by Horner's rule,
-    entirely in residues."""
+    """Evaluate rho[0] + rho[1]*n + ... + rho[k]*n^k, entirely in residues."""
     if not rho:
         raise ValueError("empty coefficient list")
     for c in rho[1:]:
         _check_same(rho[0], c)
     m = rho[0].modulus
-    t = n % m
-    acc = 0
-    for c in reversed(rho):
-        acc = (acc * t + c.v) % m
-    return AdicInt(rho[0].basis, rho[0].r, acc)
+    v = poly_mod([c.v for c in rho], m, [n % m])[0]
+    return AdicInt(rho[0].basis, rho[0].r, int(v))
 
 
 def is_generator(x: AdicInt) -> bool:

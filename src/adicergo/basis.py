@@ -50,6 +50,8 @@ class Basis:
         """Cumulative modulus: the product a(offset) * ... * a(r)."""
         if r < self.offset:
             raise ValueError(f"precision {r} below basis offset {self.offset}")
+        if self.kind == "list" and r - self.offset >= len(self.params):
+            raise ValueError(f"precision {r} beyond the entries of basis {self.spec_string()}")
         m = 1
         for i in range(self.offset, r + 1):
             m *= self.a(i)

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adic import AdicInt
+from .adic import AdicInt, poly_mod
 from .basis import Basis
-from .numtheory import lcm_many
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,8 @@ def parse_character(text: str, basis: Basis, max_level: int = 64) -> Character:
     if "/" in text:
         head, _, tail = text.partition("/")
         ell, a = int(head), int(tail)
-        for r in range(basis.offset, max_level):
+        top = basis.offset + len(basis.params) if basis.kind == "list" else max_level
+        for r in range(basis.offset, top):
             m = basis.modulus(r)
             if m == a:
                 return Character(basis, r, ell)
@@ -104,11 +104,7 @@ class ReducedPhase:
 
     def phase_numerator(self, n: int) -> int:
         """Polynomial phase at n, mod the modulus (constant excluded)."""
-        acc = 0
-        t = n % self.modulus
-        for g in reversed(self.coeffs):
-            acc = (acc * t + g) % self.modulus
-        return (acc * t) % self.modulus
+        return int(poly_mod((0, *self.coeffs), self.modulus, [n % self.modulus])[0])
 
     def total_phase(self, n: int) -> Fraction:
         """Exact phase (in turns) of the full product at integer n."""
@@ -136,7 +132,7 @@ def reduce_phase(chi: Character, rho: list[AdicInt]) -> ReducedPhase:
         lj = (chi.ell * (c.v % a)) % a
         g = math.gcd(lj, a)
         fractions.append((lj // g, a // g))
-    d = lcm_many(b for _, b in fractions) if fractions else 1
+    d = math.lcm(*(b for _, b in fractions))
     coeffs = tuple((m * (d // b)) % d for m, b in fractions)
     constant = Fraction((chi.ell * (rho[0].v % a)) % a, a)
     return ReducedPhase(d, coeffs, constant, tuple(fractions))

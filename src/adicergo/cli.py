@@ -121,6 +121,8 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
+    if cfg.n_schedule == []:
+        raise ValueError("the N schedule is empty")
     return cfg
 
 
@@ -272,7 +274,10 @@ def _load_function(cfg: ExperimentConfig) -> CylinderFunction:
 def cmd_average(cfg: ExperimentConfig) -> int:
     f = _load_function(cfg)
     rho = cfg.parsed_rho(f.basis, f.r)
-    n = (cfg.schedule([10**4]) or [10**4])[-1]
+    schedule = cfg.schedule([10**4])
+    if len(schedule) > 1:
+        raise ValueError(f"average takes one N, not a schedule of {len(schedule)}")
+    n = schedule[0]
     avg = empirical_average(f, rho, n, cfg.source, cfg.max_modulus)
     emit_report(cfg, _vector_columns(avg.values),
                 {"result": _function_doc(avg), "N": n, "source": cfg.source})

@@ -7,11 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adic import AdicInt
+from .adic import AdicInt, poly_mod
 from .basis import Basis
 from .characters import ReducedPhase
 
-# int64 Horner is safe while modulus**2 stays below 2**63
+# the largest phase modulus whose unit sums are taken as one vector
 _VECTOR_MODULUS_LIMIT = 3_000_000_000
 
 DEFAULT_MAX_MODULUS = 1 << 20
@@ -53,32 +53,24 @@ class OrbitHistogram:
         return self.basis.modulus(self.r)
 
 
-def _phase_values(coeffs: tuple[int, ...], modulus: int, residues: np.ndarray) -> np.ndarray:
-    """Polynomial phase numerators mod modulus for an int64 residue vector."""
-    acc = np.zeros_like(residues)
-    for g in reversed(coeffs):
-        acc = (acc * residues + g) % modulus
-    return (acc * residues) % modulus
-
-
 def _poly_table(basis: Basis, r: int, rho: list[AdicInt], max_modulus: int) -> np.ndarray:
     """rho(t) mod A for every residue t, as an int64 vector."""
     a = basis.modulus(r)
     _check_budget(a, max_modulus, "modulus")
     if not rho:
         raise ValueError("empty coefficient list")
-    coeffs = []
     for c in rho:
         if c.basis != basis:
             raise ValueError("basis mismatch in polynomial coefficients")
         if c.r < r:
             raise ValueError("coefficient precision below histogram precision")
-        coeffs.append(c.v % a)
-    t = np.arange(a, dtype=np.int64)
-    acc = np.zeros(a, dtype=np.int64)
-    for cv in reversed(coeffs):
-        acc = (acc * t + cv) % a
-    return acc
+    return poly_mod([c.v for c in rho], a, np.arange(a, dtype=np.int64))
+
+
+def _units(a: int) -> np.ndarray:
+    """The residues mod A prime to A, ascending."""
+    m = np.arange(a, dtype=np.int64)
+    return m[np.gcd(m, a) == 1]
 
 
 def limit_distribution(basis: Basis, r: int, rho: list[AdicInt], kind: str,
@@ -95,16 +87,17 @@ def limit_distribution(basis: Basis, r: int, rho: list[AdicInt], kind: str,
     table = _poly_table(basis, r, rho, max_modulus)
     a = len(table)
     if kind == "prime":
-        table = table[np.gcd(np.arange(a, dtype=np.int64), a) == 1]
+        table = table[_units(a)]
     counts = np.bincount(table, minlength=a)
     return OrbitHistogram(basis, r, counts, len(table),
                           "primes" if kind == "prime" else "naturals")
 
 
-def _exp_sum(coeffs: tuple[int, ...], modulus: int, residues: np.ndarray) -> complex:
-    """Sum of e(phase(m)/modulus) over an int64 residue vector."""
-    nums = _phase_values(coeffs, modulus, residues)
-    return complex(np.sum(np.exp(2j * np.pi * nums / modulus)))
+def _exp_sum(coeffs, modulus: int, residues: np.ndarray) -> complex:
+    """Sum of e(phase(m)/modulus) over a residue vector, for the phase
+    coeffs[0]*m + coeffs[1]*m^2 + ... (no constant term)."""
+    phases = 2j * np.pi * poly_mod((0, *coeffs), modulus, residues) / modulus
+    return complex(np.sum(np.exp(phases, out=phases)))
 
 
 def _constant_factor(phase: ReducedPhase) -> complex:
@@ -112,28 +105,26 @@ def _constant_factor(phase: ReducedPhase) -> complex:
     return cmath.exp(2j * cmath.pi * (c.numerator % c.denominator) / c.denominator)
 
 
-def multiplier_prime(phase: ReducedPhase) -> MultiplierValue:
-    """Average of e(phase(m)/D) over the reduced residues mod D, times the
-    constant phase.  This is the limit of the prime-indexed averages."""
+def _multiplier(phase: ReducedPhase, kind: str) -> MultiplierValue:
+    """Average of e(phase(m)/D) over the units mod D (prime kind) or over
+    m = 1..D (natural kind), times the constant phase."""
     d = phase.modulus
     if d == 1:
-        return MultiplierValue(_constant_factor(phase), 1, "prime")
+        return MultiplierValue(_constant_factor(phase), 1, kind)
     _check_budget(d, _VECTOR_MODULUS_LIMIT, "phase modulus")
-    m = np.arange(1, d + 1, dtype=np.int64)
-    units = m[np.gcd(m, d) == 1]
-    s = _exp_sum(phase.coeffs, d, units)
-    return MultiplierValue(_constant_factor(phase) * s / len(units), d, "prime")
+    m = _units(d) if kind == "prime" else np.arange(1, d + 1, dtype=np.int64)
+    return MultiplierValue(_constant_factor(phase) * _exp_sum(phase.coeffs, d, m) / len(m),
+                           d, kind)
+
+
+def multiplier_prime(phase: ReducedPhase) -> MultiplierValue:
+    """The limit of the prime-indexed averages: the mean over the units mod D."""
+    return _multiplier(phase, "prime")
 
 
 def multiplier_natural(phase: ReducedPhase) -> MultiplierValue:
-    """Average of e(phase(m)/D) over the full residue range mod D, times the
-    constant phase.  This is the limit of the natural-indexed averages."""
-    d = phase.modulus
-    if d == 1:
-        return MultiplierValue(_constant_factor(phase), 1, "natural")
-    _check_budget(d, _VECTOR_MODULUS_LIMIT, "phase modulus")
-    s = _exp_sum(phase.coeffs, d, np.arange(1, d + 1, dtype=np.int64))
-    return MultiplierValue(_constant_factor(phase) * s / d, d, "natural")
+    """The limit of the natural-indexed averages: the mean over all residues."""
+    return _multiplier(phase, "natural")
 
 
 def complete_exp_sum(psi_coeffs: list[int], q: int) -> complex:
@@ -142,8 +133,7 @@ def complete_exp_sum(psi_coeffs: list[int], q: int) -> complex:
     if q < 1:
         raise ValueError("modulus must be >= 1")
     _check_budget(q, _VECTOR_MODULUS_LIMIT, "modulus")
-    coeffs = tuple(a % q for a in psi_coeffs)
-    return _exp_sum(coeffs, q, np.arange(q, dtype=np.int64))
+    return _exp_sum(psi_coeffs, q, np.arange(q, dtype=np.int64))
 
 
 def wiener_energy(basis: Basis, rho: list[AdicInt], r_max: int, kind: str = "prime",

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .adic import AdicInt
+from .adic import AdicInt, poly_mod
 from .basis import Basis
 from .characters import Character
 from .multipliers import (DEFAULT_MAX_MODULUS, BudgetError, OrbitHistogram,
@@ -108,46 +108,19 @@ def weyl_sum_from_histogram(chi: Character, hist: OrbitHistogram) -> complex:
     return complex(np.sum(hist.counts * character_table(chi)) / hist.total)
 
 
-def _over_common_denominator(coeffs: list[Fraction]) -> tuple[list[int], int]:
-    """Numerators mod den over the least common denominator den."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [c.numerator * (den // c.denominator) % den for c in coeffs], den
-
-
-def _bigint_phase_terms(nums: list[int], den: int, values: np.ndarray) -> np.ndarray:
-    """(sum_j nums[j] * n^j mod den) / den for each n, one value at a time in
-    Python ints: any denominator, and the reference for the uint64 path."""
-    out = np.empty(len(values), dtype=np.float64)
-    for i, n in enumerate(values.tolist()):
-        acc = 0
-        for m in reversed(nums):
-            acc = acc * n + m
-        out[i] = (acc % den) / den
-    return out
-
-
-def _dyadic_phase_terms(coeffs: list[Fraction], values: np.ndarray) -> np.ndarray:
+def _torus_phases(coeffs: list[Fraction], values: np.ndarray) -> np.ndarray:
     """Fractional parts of sum_j coeffs[j] * n^j, exactly, for each n.
 
-    Floats are exact dyadic rationals, so the phases are computed as exact
-    integers over a common denominator before the single final rounding to
-    double.  When the denominator divides 2^64, as it does for every double of
-    size >= 2^-12, Horner runs on the whole vector in wrapping uint64: a
-    residue mod 2^64 keeps the residue mod den.  The uint64 to double cast
-    rounds once, like the Python division, and the division by a power of two
-    is exact.
+    Floats are exact dyadic rationals, so the phase is an exact integer mod
+    the least common denominator, rounded to double once: over a denominator
+    dividing 2^64 (every double of size >= 2^-12) by the cast, the division
+    being exact, and over any other by Python's int / int.
     """
-    nums, den = _over_common_denominator(coeffs)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    phases = poly_mod([c.numerator * (den // c.denominator) for c in coeffs], den, values)
     if (1 << 64) % den:
-        return _bigint_phase_terms(nums, den, values)
-    points = values.astype(np.uint64)
-    acc = np.zeros(len(points), dtype=np.uint64)
-    for m in reversed(nums):
-        acc *= points
-        acc += np.uint64(m)
-    return (acc & np.uint64(den - 1)).astype(np.float64) / den
+        return np.array([v / den for v in phases.tolist()], dtype=np.float64)
+    return phases.astype(np.float64) / den
 
 
 def torus_weyl_sum(beta: list[float | Fraction], n: int, source: str,
@@ -157,5 +130,5 @@ def torus_weyl_sum(beta: list[float | Fraction], n: int, source: str,
     source generated once to a bound >= N; the sum runs over its prefix."""
     coeffs = [b if isinstance(b, Fraction) else Fraction(b) for b in beta]
     points = _source_values(source, n, values)
-    phases = _dyadic_phase_terms(coeffs, points)
+    phases = _torus_phases(coeffs, points)
     return complex(np.sum(np.exp(2j * np.pi * phases)) / len(points))

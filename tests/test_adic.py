@@ -1,13 +1,15 @@
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from adicergo.adic import (AdicInt, Digits, add_carry, add_mod, embed,
                            eval_poly, from_digits, include_in_window,
-                           is_generator, mul, neg, rebase, scale, to_digits,
-                           unrebase)
+                           is_generator, mul, neg, poly_mod, rebase, scale,
+                           to_digits, unrebase)
 from adicergo.basis import parse_basis
+from adicergo.characters import Character, reduce_phase
 
 DYADIC = parse_basis("const:2")
 MIXED = parse_basis("list:2,3,5")
@@ -102,6 +104,53 @@ def test_eval_poly_examples():
     assert eval_poly(rho, 4) == embed(27, MIXED, 2)  # 57 mod 30
     with pytest.raises(ValueError, match="empty"):
         eval_poly([], 1)
+
+
+def horner(coeffs, modulus, t):
+    """The reference: Horner's rule in Python ints, reduced once at the end."""
+    acc = 0
+    for c in coeffs[::-1]:
+        acc = acc * t + c
+    return acc % modulus
+
+
+# every arithmetic of the kernel, and both sides of each boundary: moduli
+# dividing 2^64, m*m < 2^63 (up to 3,037,000,499), and Python ints past them
+KERNEL_MODULI = ([1 << k for k in range(65)]
+                 + [3, 999_983, 3_037_000_499, 3_037_000_500, 2**32 + 15, 10**12,
+                    2**64 - 1, 2**64 + 1, 2**70, 30**20])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(KERNEL_MODULI),
+       st.lists(st.integers(-2**80, 2**80), max_size=5),
+       st.lists(st.integers(0, 2**63 - 1), max_size=30), st.booleans())
+def test_poly_mod_matches_python_horner(modulus, coeffs, points, residues):
+    if residues:
+        points = [t % modulus for t in points]
+    got = poly_mod(coeffs, modulus, np.array(points, dtype=np.int64))
+    assert [int(v) for v in got] == [horner(coeffs, modulus, t) for t in points]
+    dtype = np.int64 if modulus <= 2**63 else np.uint64 if modulus == 2**64 else object
+    assert got.dtype == dtype and len(got) == len(points)
+
+
+def test_poly_mod_rejects_modulus_zero():
+    with pytest.raises(ValueError, match="modulus"):
+        poly_mod([1], 0, [0])
+
+
+@pytest.mark.parametrize("spec,r", [("const:2", 100), ("cycle:2,3,5", 40)])
+def test_eval_poly_and_phase_past_int64(spec, r):
+    basis = parse_basis(spec)
+    a = basis.modulus(r)
+    assert a > 2**64
+    rng = random.Random(r)
+    rho = [embed(rng.randrange(a), basis, r) for _ in range(4)]
+    chi = Character(basis, r, rng.randrange(a))
+    phase = reduce_phase(chi, rho)
+    for n in [0, 1, 2**64 + 3, a - 1, -5, rng.randrange(a**2)]:
+        assert eval_poly(rho, n).v == horner([c.v for c in rho], a, n)
+        assert phase.phase_numerator(n) == horner((0, *phase.coeffs), phase.modulus, n)
 
 
 def test_scale_example():

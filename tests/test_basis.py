@@ -21,6 +21,16 @@ def test_parse_cycle_and_list():
         bl.a(4)
 
 
+def test_list_modulus_past_its_entries():
+    # a precision past the entries is bad input, as one below the offset is
+    with pytest.raises(ValueError, match="beyond the entries of basis list:3,2,7,2"):
+        parse_basis("list:3,2,7,2").modulus(4)
+    w = parse_basis("list:3,2,7@offset:-1")
+    assert w.modulus(1) == 42
+    with pytest.raises(ValueError, match="beyond"):
+        w.modulus(2)
+
+
 def test_parse_offset_window():
     b = parse_basis("cycle:2,3,5@offset:-2")
     assert b.offset == -2

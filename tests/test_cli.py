@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,15 +125,6 @@ def test_torus_command(tmp_path, capsys):
     rows = read_csv(tmp_path / "torus.csv")
     assert len(rows) == 3 and rows[0] == ["N", "re", "im", "abs"]
     assert float(rows[2][3]) < float(rows[1][3])
-
-
-def test_empty_schedule_gives_header_only_csv(tmp_path):
-    values = np.ones(8)
-    fpath = write_function(tmp_path, "const:2", 2, values)
-    out = tmp_path / "empty"
-    assert run(["compare", "--function", fpath, "--rho", "0,0,1",
-                "--N", "", "--out", str(out)]) == 0
-    assert read_csv(tmp_path / "empty.csv") == [["N", "sup", "l2"]]
 
 
 def test_config_roundtrip(tmp_path):
@@ -315,3 +310,53 @@ def test_config_value_types_accepted(tmp_path):
         path.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match="must be"):
             cli.parse_config(cli.build_parser().parse_args(["gauss", "--config", str(path)]))
+
+
+def test_average_refuses_a_schedule(monkeypatch, tmp_path, capsys):
+    # a second N was silently dropped: the average ran at the last N only
+    calls = []
+    monkeypatch.setattr(weyl, "primes_in_range", lambda lo, hi: calls.append((lo, hi)))
+    fpath = write_function(tmp_path, "const:2", 2, np.ones(8))
+    assert run(["average", "--function", fpath, "--rho", "0,0,1", "--N", "100,5"]) == 1
+    assert "one N" in assert_one_error_line(capsys)
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", [
+    ["weyl", "--basis", "const:2", "--char", "1/8", "--rho", "0,0,1"],
+    ["average", "--rho", "0,0,1"],
+    ["compare", "--rho", "0,0,1"],
+    ["torus", "--beta", "0,0.5"],
+    ["gauss", "--q", "5"],
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_schedule_is_refused(monkeypatch, tmp_path, capsys, command, source):
+    calls = []
+    monkeypatch.setattr(weyl, "primes_in_range", lambda lo, hi: calls.append((lo, hi)))
+    if command[0] in ("average", "compare"):
+        command = [*command, "--function", write_function(tmp_path, "const:2", 2, np.ones(8))]
+    if source == "flag":
+        command = [*command, "--N", ""]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_schedule": []}))
+        command = [*command, "--config", str(path)]
+    assert run([*command, "--out", str(tmp_path / "o")]) == 1
+    assert "empty" in assert_one_error_line(capsys)
+    assert calls == [] and not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (["wiener", "--rho", "0,0,1", "--r-max", "5"], "precision 5 beyond"),
+    (["multiplier", "--char", "1@level:4", "--rho", "0,0,1"], "precision 4 beyond"),
+    (["weyl", "--char", "1/7", "--rho", "0,0,1"], "7 is not a cumulative modulus"),
+], ids=["wiener", "multiplier", "weyl"])
+def test_list_basis_past_its_entries(command, message):
+    # levels past the entries of a list: basis printed an IndexError traceback
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "adicergo.cli", *command, "--basis", "list:3,2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr and "list:3,2" in proc.stderr

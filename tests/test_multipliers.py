@@ -18,7 +18,6 @@ from adicergo.ergodic import (CylinderFunction, compare, multiplier_table,
 from adicergo.multipliers import (BudgetError, complete_exp_sum,
                                   multiplier_natural, multiplier_prime,
                                   wiener_energy)
-from adicergo.numtheory import euler_phi, factorize, mobius
 
 DYADIC = parse_basis("const:2")
 
@@ -101,6 +100,22 @@ def test_magnitude_bounded_by_one():
         ph = phase(d, coeffs, c)
         assert abs(multiplier_prime(ph).value) <= 1 + 1e-12
         assert abs(multiplier_natural(ph).value) <= 1 + 1e-12
+
+
+def euler_phi(n):
+    return sum(math.gcd(m, n) == 1 for m in range(1, n + 1))
+
+
+def mobius(n):
+    """(-1)^k for a product of k distinct primes, 0 when a square divides n."""
+    k = 0
+    for p in range(2, n + 1):
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            k += 1
+    return (-1) ** k
 
 
 def test_linear_prime_multiplier_is_normalized_ramanujan():
@@ -207,11 +222,3 @@ def test_table_paths_skip_per_character_sums(monkeypatch):
         builds.clear()
         assert len(compare(f, rho, [100, 1000], kind).multipliers) == 60
         assert len(builds) == 1  # one table serves the limit and the report
-
-
-def test_factorize_phi_mobius():
-    assert factorize(360) == ((2, 3), (3, 2), (5, 1))
-    assert euler_phi(1) == 1 and euler_phi(10) == 4
-    assert mobius(1) == 1 and mobius(6) == 1 and mobius(30) == -1 and mobius(12) == 0
-    with pytest.raises(ValueError):
-        factorize(0)

@@ -182,15 +182,19 @@ def dyadic_polys(draw):
             for _ in range(degree + 1)]
 
 
+def exact_phases(coeffs, values):
+    """The oracle: each phase as an exact Fraction mod 1, rounded once."""
+    return np.array([float(sum(c * int(v) ** j for j, c in enumerate(coeffs)) % 1)
+                     for v in values])
+
+
 @settings(max_examples=150, deadline=None)
 @given(dyadic_polys(), st.lists(st.integers(1, 2**40), min_size=1, max_size=40))
 def test_uint64_phases_match_bigint_loop(coeffs, points):
-    values = np.array(points, dtype=np.int64)
-    nums, den = weyl._over_common_denominator(coeffs)
-    assert (1 << 64) % den == 0
-    fast = weyl._dyadic_phase_terms(coeffs, values)
-    slow = weyl._bigint_phase_terms(nums, den, values)
-    assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
+    # denominators dividing 2^64 take the kernel's wrapping uint64 arithmetic
+    assert (1 << 64) % math.lcm(*(c.denominator for c in coeffs)) == 0
+    got = weyl._torus_phases(coeffs, np.array(points, dtype=np.int64))
+    assert np.array_equal(got.view(np.uint64), exact_phases(coeffs, points).view(np.uint64))
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -198,14 +202,12 @@ def test_uint64_phases_match_bigint_loop(coeffs, points):
     [Fraction(0), Fraction(1, 2**65)],
     [Fraction(5, 2**65), Fraction(-3, 4), Fraction(1, 2**60)],
     [Fraction(0), Fraction(1e-30)],
+    [Fraction(0), Fraction(5e-324)],
+    [Fraction(1, 3), Fraction(123456789012345678, 3 * 2**58)],
 ])
-def test_phase_fallback_for_other_denominators(coeffs, monkeypatch):
-    calls = []
-    bigint = weyl._bigint_phase_terms
-    monkeypatch.setattr(weyl, "_bigint_phase_terms",
-                        lambda *args: calls.append(args) or bigint(*args))
+def test_phase_fallback_for_other_denominators(coeffs):
+    # int64 (den 21, primes above it reduced first) and Python-int arithmetic,
+    # rounded once even where the numerator or the denominator passes 2^53
     values = primes_in_range(2, 3000)
-    got = weyl._dyadic_phase_terms(coeffs, values)
-    assert len(calls) == 1
-    exact = [float(sum(c * int(v) ** j for j, c in enumerate(coeffs)) % 1) for v in values]
-    assert np.array_equal(got, np.array(exact))
+    got = weyl._torus_phases(coeffs, values)
+    assert np.array_equal(got, exact_phases(coeffs, values))
