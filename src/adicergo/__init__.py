@@ -3,12 +3,10 @@ exact truncated arithmetic, dual characters, generalized Gauss-sum
 multipliers, prime Weyl sums, and the multiplier-predicted limits."""
 
 from .adic import (AdicInt, Digits, add_carry, add_mod, embed, eval_poly,
-                   from_digits, include_in_window, is_generator, mul, neg,
-                   poly_mod, rebase, scale, to_digits, unrebase)
+                   from_digits, include_in_window, mul, poly_mod, to_digits)
 from .basis import Basis, parse_basis
-from .characters import (Character, ReducedPhase, char_eval, char_value,
-                         parse_character, psi_restrict, reduce_phase,
-                         unit_phase)
+from .characters import (Character, ReducedPhase, char_value, parse_character,
+                         reduce_phase, unit_phase)
 from .ergodic import (ComparisonReport, CylinderFunction, Spectrum, compare,
                       cylinder_from_dict, cylinder_to_dict, dft,
                       empirical_average, idft, predicted_limit, torus_average,

@@ -109,14 +109,6 @@ def mul(x: AdicInt, y: AdicInt) -> AdicInt:
     return AdicInt(x.basis, x.r, (x.v * y.v) % x.modulus)
 
 
-def neg(x: AdicInt) -> AdicInt:
-    return AdicInt(x.basis, x.r, (-x.v) % x.modulus)
-
-
-def scale(n: int, x: AdicInt) -> AdicInt:
-    return AdicInt(x.basis, x.r, (n * x.v) % x.modulus)
-
-
 def poly_mod(coeffs, modulus: int, points) -> np.ndarray:
     """c_0 + c_1*t + ... + c_k*t^k mod m at every nonnegative integer point t,
     exact for every m >= 1, by one Horner loop in the arithmetic m sets:
@@ -163,30 +155,6 @@ def eval_poly(rho: list[AdicInt], n: int) -> AdicInt:
     m = rho[0].modulus
     v = poly_mod([c.v for c in rho], m, [n % m])[0]
     return AdicInt(rho[0].basis, rho[0].r, int(v))
-
-
-def is_generator(x: AdicInt) -> bool:
-    """Unit test at working precision: gcd(v, modulus) == 1.  This is the
-    truncation of the topological-generator condition (x generates iff its
-    residue is a unit at every precision)."""
-    return math.gcd(x.v, x.modulus) == 1
-
-
-def rebase(x: AdicInt) -> AdicInt:
-    """Reindex a window element so digits start at position 0.
-
-    Pure relabeling: the residue is unchanged, the basis entries shift by
-    the window offset.
-    """
-    b = x.basis.rebased()
-    return AdicInt(b, x.r - x.basis.offset, x.v)
-
-
-def unrebase(x: AdicInt, window: Basis) -> AdicInt:
-    """Inverse of :func:`rebase` for the given window basis."""
-    if x.basis != window.rebased() or x.basis.offset != 0:
-        raise ValueError("element is not a rebase of the given window")
-    return AdicInt(window, x.r + window.offset, x.v)
 
 
 def include_in_window(x: AdicInt, window: Basis) -> AdicInt:

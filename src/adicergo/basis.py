@@ -1,6 +1,7 @@
 """Defining sequences (a_i) for a-adic groups and their cumulative moduli."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -47,37 +48,29 @@ class Basis:
         return self.params[j]
 
     def modulus(self, r: int) -> int:
-        """Cumulative modulus: the product a(offset) * ... * a(r)."""
+        """Cumulative modulus: the product a(offset) * ... * a(r).
+
+        In closed form: for const and cycle the n = r - offset + 1 entries
+        are whole periods of the parameters, rotated to start at the offset,
+        and then the first part of one more."""
         if r < self.offset:
             raise ValueError(f"precision {r} below basis offset {self.offset}")
-        if self.kind == "list" and r - self.offset >= len(self.params):
+        n = self.digit_count(r)
+        if self.kind == "list" and n > len(self.params):
             raise ValueError(f"precision {r} beyond the entries of basis {self.spec_string()}")
-        m = 1
-        for i in range(self.offset, r + 1):
-            m *= self.a(i)
-        return m
+        if self.kind == "list":
+            return math.prod(self.params[:n])
+        k = self.offset % len(self.params)
+        period = self.params[k:] + self.params[:k]
+        whole, part = divmod(n, len(period))
+        return math.prod(period) ** whole * math.prod(period[:part])
 
     def digit_count(self, r: int) -> int:
         return r - self.offset + 1
 
     def window_factor(self) -> int:
         """Product of the entries at negative indices (1 when offset == 0)."""
-        m = 1
-        for i in range(self.offset, 0):
-            m *= self.a(i)
-        return m
-
-    def rebased(self) -> "Basis":
-        """The offset-0 basis b with b(i) = a(i + offset) (pure reindex)."""
-        if self.offset == 0:
-            return self
-        if self.kind == "const":
-            return Basis("const", self.params, 0)
-        if self.kind == "cycle":
-            m = len(self.params)
-            k = self.offset % m
-            return Basis("cycle", self.params[k:] + self.params[:k], 0)
-        return Basis("list", self.params, 0)
+        return self.modulus(-1) if self.offset < 0 else 1
 
     def nonnegative_part(self) -> "Basis":
         """The offset-0 basis agreeing with this one on indices >= 0."""

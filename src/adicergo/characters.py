@@ -33,12 +33,6 @@ class Character:
     def modulus(self) -> int:
         return self.basis.modulus(self.r)
 
-    def raise_level(self, s: int) -> "Character":
-        """Rewrite at a higher level without changing the character."""
-        if s < self.r:
-            raise ValueError("cannot lower the level")
-        return Character(self.basis, s, self.ell * (self.basis.modulus(s) // self.modulus))
-
     def spec_string(self) -> str:
         return f"{self.ell}/{self.modulus}"
 
@@ -54,18 +48,10 @@ def char_value(chi: Character, residue: int) -> complex:
     return unit_phase(chi.ell * (residue % a), a)
 
 
-def char_eval(chi: Character, x: AdicInt) -> complex:
-    """Evaluate at a truncated element of precision >= the character level."""
-    if x.basis != chi.basis:
-        raise ValueError("basis mismatch between character and argument")
-    if x.r < chi.r:
-        raise ValueError("argument precision below character level")
-    return char_value(chi, x.v)
-
-
-def parse_character(text: str, basis: Basis, max_level: int = 64) -> Character:
+def parse_character(text: str, basis: Basis) -> Character:
     """Parse ``<ell>/<A>`` (A must be a cumulative modulus) or
-    ``<ell>@level:<r>``."""
+    ``<ell>@level:<r>``.  The moduli at least double from level to level, so
+    the search for A takes at most log2(A) levels."""
     text = text.strip()
     if "@" in text:
         head, _, tail = text.partition("@")
@@ -75,13 +61,12 @@ def parse_character(text: str, basis: Basis, max_level: int = 64) -> Character:
     if "/" in text:
         head, _, tail = text.partition("/")
         ell, a = int(head), int(tail)
-        top = basis.offset + len(basis.params) if basis.kind == "list" else max_level
-        for r in range(basis.offset, top):
-            m = basis.modulus(r)
-            if m == a:
-                return Character(basis, r, ell)
-            if m > a:
-                break
+        last = basis.offset + len(basis.params) - 1 if basis.kind == "list" else math.inf
+        r = basis.offset
+        while r < last and basis.modulus(r) < a:
+            r += 1
+        if basis.modulus(r) == a:
+            return Character(basis, r, ell)
         raise ValueError(f"{a} is not a cumulative modulus of basis {basis.spec_string()}")
     raise ValueError(f"bad character spec {text!r}")
 
@@ -105,10 +90,6 @@ class ReducedPhase:
     def phase_numerator(self, n: int) -> int:
         """Polynomial phase at n, mod the modulus (constant excluded)."""
         return int(poly_mod((0, *self.coeffs), self.modulus, [n % self.modulus])[0])
-
-    def total_phase(self, n: int) -> Fraction:
-        """Exact phase (in turns) of the full product at integer n."""
-        return (self.constant + Fraction(self.phase_numerator(n), self.modulus)) % 1
 
 
 def reduce_phase(chi: Character, rho: list[AdicInt]) -> ReducedPhase:
@@ -136,18 +117,3 @@ def reduce_phase(chi: Character, rho: list[AdicInt]) -> ReducedPhase:
     coeffs = tuple((m * (d // b)) % d for m, b in fractions)
     constant = Fraction((chi.ell * (rho[0].v % a)) % a, a)
     return ReducedPhase(d, coeffs, constant, tuple(fractions))
-
-
-def psi_restrict(chi: Character) -> Character:
-    """Restrict a window character to the offset-0 subgroup.
-
-    On elements with zero digits below position 0 the window numerator acts
-    through the offset-0 modulus only, so the restriction is ell reduced mod
-    that modulus, over the nonnegative part of the basis.
-    """
-    if chi.basis.offset == 0:
-        return chi
-    if chi.r < 0:
-        raise ValueError("window character level below 0 has trivial restriction data")
-    b0 = chi.basis.nonnegative_part()
-    return Character(b0, chi.r, chi.ell % b0.modulus(chi.r))

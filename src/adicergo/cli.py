@@ -14,9 +14,10 @@ import numpy as np
 
 from .adic import AdicInt, embed
 from .basis import Basis, parse_basis
-from .characters import Character, parse_character, reduce_phase
+from .characters import parse_character, reduce_phase
 from .ergodic import (CylinderFunction, compare, cylinder_from_dict,
-                      empirical_average, predicted_limit, torus_averages)
+                      cylinder_to_dict, empirical_average, predicted_limit,
+                      torus_averages)
 from .multipliers import (DEFAULT_MAX_MODULUS, BudgetError, complete_exp_sum,
                           multiplier_natural, multiplier_prime, wiener_energy)
 from .weyl import adic_weyl_sums
@@ -52,33 +53,16 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
-    def schedule(self, default: list[int]) -> list[int]:
-        return self.n_schedule if self.n_schedule is not None else default
-
-    def parsed_basis(self) -> Basis:
-        if self.basis is None:
-            raise SystemExit("error: --basis is required")
-        return parse_basis(self.basis)
-
     def parsed_rho(self, basis: Basis, r: int) -> list[AdicInt]:
-        if self.rho is None:
-            raise SystemExit("error: --rho is required")
         try:
             ints = [int(c) for c in self.rho.split(",")]
         except ValueError:
-            raise SystemExit(f"error: bad rho coefficients {self.rho!r}") from None
+            raise ValueError(f"bad rho coefficients {self.rho!r}") from None
         return [embed(c, basis, r) for c in ints]
-
-    def parsed_char(self, basis: Basis) -> Character:
-        if self.char is None:
-            raise SystemExit("error: --char is required")
-        try:
-            return parse_character(self.char, basis)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from None
 
 
 _FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+_CHOICES = {"source": ("primes", "naturals"), "kind": ("prime", "natural")}
 
 
 def _fits(value, hint) -> bool:
@@ -101,7 +85,8 @@ def _read_json(path: str):
 
 
 def parse_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge a config file (if given) with command-line flags; flags win."""
+    """Merge a config file (if given) with command-line flags; flags win.
+    Then every field the command requires must be set, in table order."""
     cfg = ExperimentConfig()
     if getattr(args, "config", None):
         doc = _read_json(args.config)
@@ -111,16 +96,23 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ValueError(f"config file {args.config} is not a JSON object")
         for key, value in doc.items():
             if not hasattr(cfg, key):
-                raise SystemExit(f"error: unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r}")
             hint = _FIELD_TYPES[key]
             if not _fits(value, hint):
                 raise ValueError(f"config key {key!r} must be {getattr(hint, '__name__', hint)},"
                                  f" not {value!r}")
+            if key in _CHOICES and value not in _CHOICES[key]:
+                raise ValueError(f"config key {key!r} must be one of"
+                                 f" {', '.join(_CHOICES[key])}, not {value!r}")
             setattr(cfg, key, value)
     for key in vars(cfg):
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(cfg, key, flag)
+    for key in _COMMANDS[args.command][1]:
+        if getattr(cfg, key) is None:
+            flag = _REQUIRED_TEXT.get(key, "--" + key.replace("_", "-"))
+            raise ValueError(f"{flag} is required")
     if cfg.n_schedule == []:
         raise ValueError("the N schedule is empty")
     return cfg
@@ -151,26 +143,22 @@ def _csv_cells(column) -> list:
     return [_fmt(v) if isinstance(v, float) else v for v in values]
 
 
-def _json_default(v):
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    raise TypeError(f"not serializable: {type(v)}")
-
-
 _VECTOR = "\0"  # stands for a complex vector in the text json.dumps writes
 
 
 def _json_text(doc: dict) -> str:
-    """json.dumps(doc, indent=2, default=_json_default), where a complex
-    vector is written as its list of [re, im] pairs in one step rather than
-    pair by pair."""
+    """json.dumps(doc, indent=2), with a complex number as [re, im] and a
+    complex vector as its list of [re, im] pairs, written in one step rather
+    than pair by pair."""
     vectors = []
 
     def default(v):
         if isinstance(v, np.ndarray) and v.dtype == np.complex128 and v.ndim == 1:
             vectors.append(v)
             return _VECTOR
-        return _json_default(v)
+        if isinstance(v, complex):
+            return [v.real, v.imag]
+        raise TypeError(f"not serializable: {type(v)}")
 
     parts = json.dumps(doc, indent=2, default=default).split(json.dumps(_VECTOR))
     if len(parts) != len(vectors) + 1:
@@ -210,8 +198,6 @@ def _degree_notice(cfg: ExperimentConfig, rho: list[AdicInt]):
 
 
 def cmd_gauss(cfg: ExperimentConfig) -> int:
-    if cfg.q is None:
-        raise SystemExit("error: --q is required")
     psi = [int(c) for c in (cfg.psi or "0,1").split(",")]
     value = complete_exp_sum(psi, cfg.q)
     _print_complex("complete exponential sum", value)
@@ -221,8 +207,8 @@ def cmd_gauss(cfg: ExperimentConfig) -> int:
 
 
 def cmd_multiplier(cfg: ExperimentConfig) -> int:
-    basis = cfg.parsed_basis()
-    chi = cfg.parsed_char(basis)
+    basis = parse_basis(cfg.basis)
+    chi = parse_character(cfg.char, basis)
     rho = cfg.parsed_rho(basis, chi.r)
     _degree_notice(cfg, rho)
     phase = reduce_phase(chi, rho)
@@ -235,10 +221,10 @@ def cmd_multiplier(cfg: ExperimentConfig) -> int:
 
 
 def cmd_weyl(cfg: ExperimentConfig) -> int:
-    basis = cfg.parsed_basis()
-    chi = cfg.parsed_char(basis)
+    basis = parse_basis(cfg.basis)
+    chi = parse_character(cfg.char, basis)
     rho = cfg.parsed_rho(basis, chi.r)
-    schedule = cfg.schedule([10**4])
+    schedule = cfg.n_schedule or [10**4]
     sums = adic_weyl_sums(chi, rho, schedule, cfg.source, cfg.max_modulus)
     for n, value in zip(schedule, sums):
         _print_complex(f"weyl sum N={n}", value)
@@ -256,15 +242,7 @@ def _vector_columns(values: np.ndarray) -> dict:
     return {"c": range(len(values)), "re": values.real, "im": values.imag}
 
 
-def _function_doc(f: CylinderFunction) -> dict:
-    """The document of cylinder_to_dict, with the values left a complex
-    vector for emit_report to write in one step."""
-    return {"basis": f.basis.spec_string(), "r": f.r, "values": f.values}
-
-
 def _load_function(cfg: ExperimentConfig) -> CylinderFunction:
-    if cfg.function is None:
-        raise SystemExit("error: --function <file> is required")
     try:
         return cylinder_from_dict(_read_json(cfg.function))
     except (KeyError, TypeError) as exc:
@@ -274,13 +252,13 @@ def _load_function(cfg: ExperimentConfig) -> CylinderFunction:
 def cmd_average(cfg: ExperimentConfig) -> int:
     f = _load_function(cfg)
     rho = cfg.parsed_rho(f.basis, f.r)
-    schedule = cfg.schedule([10**4])
+    schedule = cfg.n_schedule or [10**4]
     if len(schedule) > 1:
         raise ValueError(f"average takes one N, not a schedule of {len(schedule)}")
     n = schedule[0]
     avg = empirical_average(f, rho, n, cfg.source, cfg.max_modulus)
     emit_report(cfg, _vector_columns(avg.values),
-                {"result": _function_doc(avg), "N": n, "source": cfg.source})
+                {"result": cylinder_to_dict(avg), "N": n, "source": cfg.source})
     print(f"averaged {f.modulus} residues at N={n} over {cfg.source}")
     return 0
 
@@ -290,7 +268,8 @@ def cmd_limit(cfg: ExperimentConfig) -> int:
     rho = cfg.parsed_rho(f.basis, f.r)
     _degree_notice(cfg, rho)
     lim = predicted_limit(f, rho, cfg.kind, cfg.max_modulus)
-    emit_report(cfg, _vector_columns(lim.values), {"result": _function_doc(lim), "kind": cfg.kind})
+    emit_report(cfg, _vector_columns(lim.values),
+                {"result": cylinder_to_dict(lim), "kind": cfg.kind})
     print(f"predicted limit over {lim.modulus} residues ({cfg.kind} kind)")
     return 0
 
@@ -299,7 +278,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     f = _load_function(cfg)
     rho = cfg.parsed_rho(f.basis, f.r)
     _degree_notice(cfg, rho)
-    schedule = cfg.schedule([10**3, 10**4, 10**5])
+    schedule = cfg.n_schedule or [10**3, 10**4, 10**5]
     report = compare(f, rho, schedule, cfg.kind, cfg.max_modulus)
     for n, s, l in zip(report.n_schedule, report.sup_distances, report.l2_distances):
         print(f"N={n}: sup {_fmt(s)}  l2 {_fmt(l)}")
@@ -314,22 +293,20 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
 
 
 def cmd_torus(cfg: ExperimentConfig) -> int:
-    if cfg.beta is None:
-        raise SystemExit("error: --beta is required")
     beta = [[float(b) for b in comp.split(",")] for comp in cfg.beta.split(";")]
     if len(beta) == 1:
         beta = beta[0]
     freqs = [tuple(int(m) for m in part.split(",")) for part in (cfg.freqs or "1").split(";")]
     coeffs = [complex(part) for part in (cfg.coeffs or "1").split(";")]
     if len(freqs) != len(coeffs):
-        raise SystemExit("error: --freqs and --coeffs must have the same length")
+        raise ValueError("--freqs and --coeffs must have the same length")
     trig = {}  # a repeated frequency adds its coefficients
     for f, c in zip(freqs, coeffs):
         key = f if len(f) > 1 else f[0]
         trig[key] = trig[key] + c if key in trig else c
     xs = tuple(float(v) for v in cfg.x.split(","))
     x = xs if len(xs) > 1 else xs[0]
-    schedule = cfg.schedule([10**4])
+    schedule = cfg.n_schedule or [10**4]
     averages = torus_averages(trig, beta, x, schedule, cfg.source)
     for n, value in zip(schedule, averages):
         _print_complex(f"torus average N={n}", value)
@@ -338,9 +315,7 @@ def cmd_torus(cfg: ExperimentConfig) -> int:
 
 
 def cmd_wiener(cfg: ExperimentConfig) -> int:
-    basis = cfg.parsed_basis()
-    if cfg.r_max is None:
-        raise SystemExit("error: --r-max is required")
+    basis = parse_basis(cfg.basis)
     rho = cfg.parsed_rho(basis, cfg.r_max)
     series = wiener_energy(basis, rho, cfg.r_max, cfg.kind, cfg.max_modulus)
     levels = [r for r, _ in series]
@@ -352,16 +327,27 @@ def cmd_wiener(cfg: ExperimentConfig) -> int:
     return 0
 
 
+_FUNCTION_FLAGS = {"--function": {"help": "cylinder function JSON file"}}
+
+# command -> (its function, the fields it requires, its own flags)
 _COMMANDS = {
-    "gauss": cmd_gauss,
-    "multiplier": cmd_multiplier,
-    "weyl": cmd_weyl,
-    "average": cmd_average,
-    "limit": cmd_limit,
-    "compare": cmd_compare,
-    "torus": cmd_torus,
-    "wiener": cmd_wiener,
+    "gauss": (cmd_gauss, ("q",), {
+        "--q": {"type": int},
+        "--psi": {"help": "coefficients a1,a2,... of a1*x + a2*x^2 + ..."}}),
+    "multiplier": (cmd_multiplier, ("basis", "char", "rho"), {}),
+    "weyl": (cmd_weyl, ("basis", "char", "rho"), {}),
+    "average": (cmd_average, ("function", "rho"), _FUNCTION_FLAGS),
+    "limit": (cmd_limit, ("function", "rho"), _FUNCTION_FLAGS),
+    "compare": (cmd_compare, ("function", "rho"), _FUNCTION_FLAGS),
+    "torus": (cmd_torus, ("beta",), {
+        "--beta": {"help": "orbit coefficients, ';' between torus components"},
+        "--freqs": {"help": "frequencies, ';' separated, ',' within a tuple"},
+        "--coeffs": {"help": "complex coefficients, ';' separated"},
+        "--x": {"help": "starting point"}}),
+    "wiener": (cmd_wiener, ("basis", "r_max", "rho"), {"--r-max": {"type": int}}),
 }
+
+_REQUIRED_TEXT = {"function": "--function <file>"}  # the others read "--<field>"
 
 
 def _n_schedule(text: str) -> list[int]:
@@ -372,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="adicergo",
                                      description="a-adic ergodic average experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--basis", help="const:<c> | cycle:<c0>,... | list:<c0>,... [@offset:<k>]")
@@ -380,29 +366,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--char", help="<ell>/<A> or <ell>@level:<r>")
         p.add_argument("--N", dest="n_schedule", type=_n_schedule,
                        help="comma-separated N schedule")
-        p.add_argument("--source", choices=["primes", "naturals"])
-        p.add_argument("--kind", choices=["prime", "natural"])
+        p.add_argument("--source", choices=_CHOICES["source"])
+        p.add_argument("--kind", choices=_CHOICES["kind"])
         p.add_argument("--out", help="write <out>.csv and <out>.json")
         p.add_argument("--max-modulus", dest="max_modulus", type=int)
-        if name == "gauss":
-            p.add_argument("--q", type=int)
-            p.add_argument("--psi", help="coefficients a1,a2,... of a1*x + a2*x^2 + ...")
-        if name in ("average", "limit", "compare"):
-            p.add_argument("--function", help="cylinder function JSON file")
-        if name == "torus":
-            p.add_argument("--beta", help="orbit coefficients, ';' between torus components")
-            p.add_argument("--freqs", help="frequencies, ';' separated, ',' within a tuple")
-            p.add_argument("--coeffs", help="complex coefficients, ';' separated")
-            p.add_argument("--x", help="starting point")
-        if name == "wiener":
-            p.add_argument("--r-max", dest="r_max", type=int)
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](parse_config(args))
+        return _COMMANDS[args.command][0](parse_config(args))
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

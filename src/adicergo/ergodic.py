@@ -190,28 +190,13 @@ def torus_average(trig_coeffs: dict, beta, x, n: int, source: str = "primes") ->
 
 
 def cylinder_to_dict(f: CylinderFunction) -> dict:
-    return {
-        "basis": f.basis.spec_string(),
-        "r": f.r,
-        "values": [[float(v.real), float(v.imag)] for v in f.values],
-    }
+    """The cylinder-file document: basis, level and the values as a complex
+    vector, which a report writes as its list of [re, im] pairs and
+    cylinder_from_dict reads back."""
+    return {"basis": f.basis.spec_string(), "r": f.r, "values": f.values}
 
 
 def cylinder_from_dict(doc: dict) -> CylinderFunction:
     basis = parse_basis(doc["basis"])
     values = np.array([complex(re, im) for re, im in doc["values"]])
     return CylinderFunction(basis, int(doc["r"]), values)
-
-
-def spectrum_to_dict(spec: Spectrum) -> dict:
-    return {
-        "basis": spec.basis.spec_string(),
-        "r": spec.r,
-        "coefficients": [[float(v.real), float(v.imag)] for v in spec.coefficients],
-    }
-
-
-def spectrum_from_dict(doc: dict) -> Spectrum:
-    basis = parse_basis(doc["basis"])
-    coeffs = np.array([complex(re, im) for re, im in doc["coefficients"]])
-    return Spectrum(basis, int(doc["r"]), coeffs)

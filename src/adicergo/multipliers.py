@@ -22,8 +22,11 @@ class BudgetError(RuntimeError):
 
 
 def _check_budget(n: int, budget: int, what: str = "vector length"):
+    """Refuse a size past the budget; one past 2^64 is named by its bit
+    length, since its decimal digits can be too many to print."""
     if n > budget:
-        raise BudgetError(f"{what} {n} exceeds budget {budget}")
+        size = f"of {n.bit_length()} bits" if n > 1 << 64 else n
+        raise BudgetError(f"{what} {size} exceeds budget {budget}")
 
 
 @dataclass(frozen=True)

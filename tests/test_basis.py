@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from adicergo.basis import Basis, parse_basis
@@ -58,12 +60,16 @@ def test_bad_specs_rejected():
             parse_basis(bad)
 
 
-def test_rebased_shifts_indices():
-    b = parse_basis("cycle:2,3,5@offset:-2")
-    rb = b.rebased()
-    assert rb.offset == 0
-    for i in range(8):
-        assert rb.a(i) == b.a(i - 2)
+@pytest.mark.parametrize("text", [
+    "const:2", "const:3@offset:-4", "cycle:2,3,5", "cycle:2,3,5@offset:-1",
+    "cycle:2,3,5@offset:-5", "cycle:7,2@offset:-3", "cycle:4", "list:3,2,7,2@offset:-2",
+])
+def test_modulus_matches_product_loop(text):
+    # the closed form against the product of the entries, level by level
+    b = parse_basis(text)
+    top = b.offset + len(b.params) if b.kind == "list" else 40
+    for r in range(b.offset, top):
+        assert b.modulus(r) == math.prod(b.a(i) for i in range(b.offset, r + 1))
 
 
 def test_nonnegative_part():

@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from adicergo.adic import embed, include_in_window
+from adicergo.adic import embed
 from adicergo.basis import parse_basis
-from adicergo.characters import (Character, char_eval, char_value,
-                                 parse_character, psi_restrict, reduce_phase,
-                                 unit_phase)
+from adicergo.characters import (Character, char_value, parse_character,
+                                 reduce_phase, unit_phase)
 
 DYADIC = parse_basis("const:2")
 CYCLE = parse_basis("cycle:2,3,5")
@@ -20,18 +19,18 @@ def e(num, den):
 
 def test_char_eval_examples():
     chi = Character(DYADIC, 2, 1)
-    assert char_eval(chi, embed(3, DYADIC, 2)) == pytest.approx(e(3, 8))
+    assert char_value(chi, embed(3, DYADIC, 2).v) == pytest.approx(e(3, 8))
     triv = Character(DYADIC, 2, 0)
     for n in range(8):
-        assert char_eval(triv, embed(n, DYADIC, 2)) == pytest.approx(1)
+        assert char_value(triv, embed(n, DYADIC, 2).v) == pytest.approx(1)
     chi2 = Character(DYADIC, 2, 2)
-    assert char_eval(chi2, embed(5, DYADIC, 2)) == pytest.approx(e(2, 8))
+    assert char_value(chi2, embed(5, DYADIC, 2).v) == pytest.approx(e(2, 8))
 
 
 def test_char_eval_integer_formula():
     chi = Character(CYCLE, 2, 7)
     for n in range(-10, 40):
-        assert char_eval(chi, embed(n, CYCLE, 2)) == pytest.approx(e((7 * n) % 30, 30))
+        assert char_value(chi, embed(n, CYCLE, 2).v) == pytest.approx(e((7 * n) % 30, 30))
 
 
 def test_multiplicativity():
@@ -40,17 +39,16 @@ def test_multiplicativity():
     for _ in range(100):
         x = embed(rng.randrange(30), CYCLE, 2)
         y = embed(rng.randrange(30), CYCLE, 2)
-        lhs = char_eval(chi, embed((x.v + y.v), CYCLE, 2))
-        assert abs(lhs - char_eval(chi, x) * char_eval(chi, y)) < 1e-12
+        lhs = char_value(chi, embed((x.v + y.v), CYCLE, 2).v)
+        assert abs(lhs - char_value(chi, x.v) * char_value(chi, y.v)) < 1e-12
 
 
 def test_level_raising_invariance():
+    # ell/A(1) written at level 3 is ell * (A(3)/A(1)) / A(3): the same character
     chi = Character(CYCLE, 1, 5)
-    raised = chi.raise_level(3)
-    assert raised.ell == 5 * CYCLE.modulus(3) // CYCLE.modulus(1)
-    for n in range(CYCLE.modulus(1)):
-        assert char_eval(chi, embed(n, CYCLE, 1)) == pytest.approx(
-            char_eval(raised, embed(n, CYCLE, 3)))
+    raised = Character(CYCLE, 3, 5 * (CYCLE.modulus(3) // CYCLE.modulus(1)))
+    for n in range(CYCLE.modulus(3)):
+        assert char_value(chi, n) == pytest.approx(char_value(raised, n))
 
 
 def test_parse_character():
@@ -61,6 +59,11 @@ def test_parse_character():
         parse_character("1/7", DYADIC)
     with pytest.raises(ValueError, match="out of range"):
         parse_character("9/8", DYADIC)
+    # past level 63, as deep as @level: reaches
+    assert parse_character(f"1/{2**70}", DYADIC) == parse_character("1@level:69", DYADIC)
+    assert parse_character("1/900", CYCLE) == Character(CYCLE, 5, 1)
+    with pytest.raises(ValueError, match="cumulative modulus"):
+        parse_character(f"1/{3 * 2**70}", DYADIC)
 
 
 def test_reduce_phase_linear_example():
@@ -101,37 +104,9 @@ def test_reduced_phase_soundness():
         for n in range(12):
             direct = 1
             for j, c in enumerate(rho):
-                direct *= char_eval(chi, c) ** (n ** j)
-            t = ph.total_phase(n)
+                direct *= char_value(chi, c.v) ** (n ** j)
+            t = (ph.constant + Fraction(ph.phase_numerator(n), ph.modulus)) % 1
             assert abs(direct - unit_phase(t.numerator, t.denominator)) < 1e-9
-
-
-def test_psi_restrict_identity_at_offset_zero():
-    chi = Character(DYADIC, 2, 3)
-    assert psi_restrict(chi) is chi
-
-
-def test_psi_restrict_agrees_on_included_elements():
-    window = parse_basis("cycle:2,3,5@offset:-1")
-    b0 = window.nonnegative_part()
-    r = 1
-    for ell in range(window.modulus(r)):
-        chi = Character(window, r, ell)
-        restricted = psi_restrict(chi)
-        for w in range(b0.modulus(r)):
-            x = embed(w, b0, r)
-            assert abs(char_eval(chi, include_in_window(x, window))
-                       - char_eval(restricted, x)) < 1e-12
-
-
-def test_psi_restrict_annihilator_is_trivial():
-    window = parse_basis("const:2@offset:-2")
-    b0 = window.nonnegative_part()
-    r = 1
-    a0 = b0.modulus(r)
-    for k in range(window.modulus(r) // a0):
-        chi = Character(window, r, k * a0)
-        assert psi_restrict(chi).ell == 0
 
 
 def test_char_value_reduces_exactly():

@@ -14,8 +14,7 @@ from adicergo.adic import embed
 from adicergo.basis import parse_basis
 from adicergo.characters import Character
 from adicergo.cli import main
-from adicergo.ergodic import (CylinderFunction, compare, cylinder_to_dict,
-                              torus_average)
+from adicergo.ergodic import CylinderFunction, compare, torus_average
 from adicergo.weyl import adic_weyl_sum, character_table
 
 
@@ -24,8 +23,9 @@ def run(argv):
 
 
 def write_function(tmp_path, basis_text, r, values):
-    basis = parse_basis(basis_text)
-    doc = cylinder_to_dict(CylinderFunction(basis, r, values))
+    # the cylinder-file layout: basis, level, the values as [re, im] pairs
+    values = np.asarray(values, dtype=complex).tolist()
+    doc = {"basis": basis_text, "r": r, "values": [[v.real, v.imag] for v in values]}
     path = tmp_path / "f.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -63,8 +63,8 @@ def test_validation_errors(capsys):
     assert run(["multiplier", "--basis", "const:1", "--char", "0/8",
                 "--rho", "0,1"]) == 1
     assert "must be >= 2" in capsys.readouterr().err
-    with pytest.raises(SystemExit):
-        run(["multiplier", "--basis", "const:2", "--char", "9/8", "--rho", "0,1"])
+    assert run(["multiplier", "--basis", "const:2", "--char", "9/8", "--rho", "0,1"]) == 1
+    assert "out of range" in capsys.readouterr().err
 
 
 def test_weyl_naturals_matches_multiplier(tmp_path, capsys):
@@ -144,17 +144,18 @@ def test_config_roundtrip(tmp_path):
     assert read_csv(tmp_path / "first.csv") == read_csv(tmp_path / "second.csv")
 
 
-def test_unknown_config_key(tmp_path):
+def test_unknown_config_key(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     for key in ("bogus", "seed", "threads"):  # seed and threads were never read
         path.write_text(json.dumps({key: 1}))
-        with pytest.raises(SystemExit, match="unknown config key"):
-            run(["gauss", "--q", "5", "--config", str(path)])
+        assert run(["gauss", "--q", "5", "--config", str(path)]) == 1
+        assert assert_one_error_line(capsys) == f"error: unknown config key {key!r}\n"
 
 
 @pytest.mark.parametrize("argv", [
     ["gauss", "--q", "4000000000"],
     ["multiplier", "--basis", "const:2", "--char", "1@level:33", "--rho", "0,0,1"],
+    ["multiplier", "--basis", "const:2", "--char", "1@level:1000000", "--rho", "0,0,1"],
 ])
 def test_modulus_past_vector_limit_is_a_budget_error(argv, capsys):
     assert run(argv) == 2
@@ -360,3 +361,83 @@ def test_list_basis_past_its_entries(command, message):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert message in proc.stderr and "list:3,2" in proc.stderr
+
+
+# Each command's required flags, in the order they are checked, with a value.
+REQUIRED = {
+    "gauss": {"--q": "5"},
+    "multiplier": {"--basis": "const:2", "--char": "1/8", "--rho": "0,0,1"},
+    "weyl": {"--basis": "const:2", "--char": "1/8", "--rho": "0,0,1"},
+    "average": {"--function": "f.json", "--rho": "0,0,1"},
+    "limit": {"--function": "f.json", "--rho": "0,0,1"},
+    "compare": {"--function": "f.json", "--rho": "0,0,1"},
+    "torus": {"--beta": "0,0.5"},
+    "wiener": {"--basis": "const:2", "--r-max": "3", "--rho": "0,0,1"},
+}
+
+
+def required_message(flag):
+    return f"error: {'--function <file>' if flag == '--function' else flag} is required\n"
+
+
+@pytest.mark.parametrize("command, flag",
+                         [(c, f) for c, flags in REQUIRED.items() for f in flags])
+def test_missing_required_flag(monkeypatch, tmp_path, capsys, command, flag):
+    monkeypatch.chdir(tmp_path)
+    write_function(tmp_path, "const:2", 2, np.ones(8))
+    argv = [command, *(x for f, v in REQUIRED[command].items() if f != flag for x in (f, v))]
+    assert run(argv) == 1
+    assert assert_one_error_line(capsys) == required_message(flag)
+
+
+@pytest.mark.parametrize("command", REQUIRED)
+def test_required_flags_checked_in_order(capsys, command):
+    assert run([command]) == 1
+    assert assert_one_error_line(capsys) == required_message(next(iter(REQUIRED[command])))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["multiplier", "--basis", "const:2", "--char", "1/8", "--rho", "0,x"],
+     "bad rho coefficients '0,x'"),
+    (["multiplier", "--basis", "const:2", "--char", "9/8", "--rho", "0,1"],
+     "numerator 9 out of range at level 2"),
+    (["weyl", "--basis", "const:2", "--char", "1@foo:2", "--rho", "0,1"],
+     "bad character suffix 'foo:2'"),
+    (["torus", "--beta", "0,0.5", "--freqs", "1;2", "--coeffs", "1"],
+     "--freqs and --coeffs must have the same length"),
+])
+def test_bad_input_returns_one(capsys, argv, message):
+    # these raised SystemExit out of main; now main returns the exit code
+    assert run(argv) == 1
+    assert assert_one_error_line(capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("doc, argv", [
+    ({"kind": "primes"}, ["multiplier", "--basis", "const:2", "--char", "1/8", "--rho", "0,0,1"]),
+    ({"kind": "natural "}, ["limit", "--function", "f.json", "--rho", "0,0,1"]),
+    ({"source": "prime"}, ["weyl", "--basis", "const:2", "--char", "1/8", "--rho", "0,0,1"]),
+    ({"source": "Naturals"}, ["torus", "--beta", "0,0.5"]),
+])
+def test_config_choices_are_checked(monkeypatch, tmp_path, capsys, doc, argv):
+    # a config kind or source skipped the choices of its flag: kind "primes"
+    # printed the natural multiplier under the label "primes" and exited 0
+    monkeypatch.chdir(tmp_path)
+    write_function(tmp_path, "const:2", 2, np.ones(8))
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert run([*argv, "--config", "cfg.json"]) == 1
+    ((key, value),) = doc.items()
+    err = assert_one_error_line(capsys)
+    assert err.startswith(f"error: config key {key!r} must be one of ")
+    assert err.endswith(f", not {value!r}\n")
+
+
+def test_char_spellings_agree_past_level_63(capsys):
+    # 1/2^70 was "not a cumulative modulus" while 1@level:69 met the budget
+    results = []
+    for char in (f"1/{2**70}", "1@level:69"):
+        rc = run(["multiplier", "--basis", "const:2", "--char", char, "--rho", "0,0,1"])
+        results.append((rc, assert_one_error_line(capsys)))
+    assert results[0] == results[1]
+    assert results[0][0] == 2 and "of 71 bits" in results[0][1]
+    assert run(["multiplier", "--basis", "const:2", "--char", "1/3", "--rho", "0,0,1"]) == 1
+    assert "3 is not a cumulative modulus" in assert_one_error_line(capsys)

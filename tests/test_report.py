@@ -12,8 +12,8 @@ from adicergo import cli
 from adicergo.adic import embed
 from adicergo.basis import parse_basis
 from adicergo.cli import ExperimentConfig, emit_report, main
-from adicergo.ergodic import (CylinderFunction, cylinder_to_dict,
-                              empirical_average, predicted_limit)
+from adicergo.ergodic import (CylinderFunction, empirical_average,
+                              predicted_limit)
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
            2.2250738585072014e-308, 0.1, 1 / 3, 1e16, 123456789.0]
@@ -96,9 +96,14 @@ def test_nul_in_a_report_string_is_refused(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def function_doc(basis, r, values):
+    """The reference cylinder-file layout: basis, level, [re, im] pairs."""
+    return {"basis": basis.spec_string(), "r": r, "values": pairs(values)}
+
+
 def function_file(tmp_path, basis, r, values):
     path = tmp_path / "f.json"
-    path.write_text(json.dumps(cylinder_to_dict(CylinderFunction(basis, r, values))))
+    path.write_text(json.dumps(function_doc(basis, r, values)))
     return str(path)
 
 
@@ -123,5 +128,6 @@ def test_vector_commands_match_reference(tmp_path, command):
         extra = {"kind": "prime"}
     cfg = cli.parse_config(cli.build_parser().parse_args(argv))
     reference_report(str(tmp_path / "ref"), cfg, vector_rows(result.values),
-                     {"result": cylinder_to_dict(result), **extra}, ["c", "re", "im"])
+                     {"result": function_doc(basis, 2, result.values), **extra},
+                     ["c", "re", "im"])
     assert read_both(out) == read_both(str(tmp_path / "ref"))
