@@ -29,11 +29,10 @@ def _fmt(x: float) -> str:
 
 @dataclass
 class ExperimentConfig:
-    """Validated inputs for one run; unknown keys in a config file are
-    rejected so typos fail loudly."""
+    """Validated inputs for one run; a config-file key that is unknown, or
+    not read by the command, is rejected so typos fail loudly."""
 
     basis: str | None = None
-    r: int | None = None
     rho: str | None = None
     char: str | None = None
     n_schedule: list[int] | None = None
@@ -86,8 +85,12 @@ def _read_json(path: str):
 
 def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge a config file (if given) with command-line flags; flags win.
+    A config key the command does not read is refused, and the fields it does
+    not read stay unset, so the config echo of a report can be fed back.
     Then every field the command requires must be set, in table order."""
     cfg = ExperimentConfig()
+    _, required, optional = _COMMANDS[args.command]
+    fields = (*required, *optional)
     if getattr(args, "config", None):
         doc = _read_json(args.config)
         if isinstance(doc, dict):
@@ -97,6 +100,8 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
         for key, value in doc.items():
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown config key {key!r}")
+            if key not in fields:
+                raise ValueError(f"config key {key!r} is not read by {args.command}")
             hint = _FIELD_TYPES[key]
             if not _fits(value, hint):
                 raise ValueError(f"config key {key!r} must be {getattr(hint, '__name__', hint)},"
@@ -106,13 +111,13 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
                                  f" {', '.join(_CHOICES[key])}, not {value!r}")
             setattr(cfg, key, value)
     for key in vars(cfg):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(cfg, key, flag)
-    for key in _COMMANDS[args.command][1]:
+        if key not in fields:
+            setattr(cfg, key, None)
+        elif getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
+    for key in required:
         if getattr(cfg, key) is None:
-            flag = _REQUIRED_TEXT.get(key, "--" + key.replace("_", "-"))
-            raise ValueError(f"{flag} is required")
+            raise ValueError(f"{_REQUIRED_TEXT.get(key, _FLAGS[key][0])} is required")
     if cfg.n_schedule == []:
         raise ValueError("the N schedule is empty")
     return cfg
@@ -327,51 +332,56 @@ def cmd_wiener(cfg: ExperimentConfig) -> int:
     return 0
 
 
-_FUNCTION_FLAGS = {"--function": {"help": "cylinder function JSON file"}}
-
-# command -> (its function, the fields it requires, its own flags)
-_COMMANDS = {
-    "gauss": (cmd_gauss, ("q",), {
-        "--q": {"type": int},
-        "--psi": {"help": "coefficients a1,a2,... of a1*x + a2*x^2 + ..."}}),
-    "multiplier": (cmd_multiplier, ("basis", "char", "rho"), {}),
-    "weyl": (cmd_weyl, ("basis", "char", "rho"), {}),
-    "average": (cmd_average, ("function", "rho"), _FUNCTION_FLAGS),
-    "limit": (cmd_limit, ("function", "rho"), _FUNCTION_FLAGS),
-    "compare": (cmd_compare, ("function", "rho"), _FUNCTION_FLAGS),
-    "torus": (cmd_torus, ("beta",), {
-        "--beta": {"help": "orbit coefficients, ';' between torus components"},
-        "--freqs": {"help": "frequencies, ';' separated, ',' within a tuple"},
-        "--coeffs": {"help": "complex coefficients, ';' separated"},
-        "--x": {"help": "starting point"}}),
-    "wiener": (cmd_wiener, ("basis", "r_max", "rho"), {"--r-max": {"type": int}}),
-}
-
-_REQUIRED_TEXT = {"function": "--function <file>"}  # the others read "--<field>"
-
-
 def _n_schedule(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
+
+
+# field -> (its flag, the flag's argparse options)
+_FLAGS = {
+    "basis": ("--basis", {"help": "const:<c> | cycle:<c0>,... | list:<c0>,... [@offset:<k>]"}),
+    "char": ("--char", {"help": "<ell>/<A> or <ell>@level:<r>"}),
+    "rho": ("--rho", {"help": "comma-separated integer coefficients, constant first"}),
+    "function": ("--function", {"help": "cylinder function JSON file"}),
+    "q": ("--q", {"type": int}),
+    "psi": ("--psi", {"help": "coefficients a1,a2,... of a1*x + a2*x^2 + ..."}),
+    "beta": ("--beta", {"help": "orbit coefficients, ';' between torus components"}),
+    "freqs": ("--freqs", {"help": "frequencies, ';' separated, ',' within a tuple"}),
+    "coeffs": ("--coeffs", {"help": "complex coefficients, ';' separated"}),
+    "x": ("--x", {"help": "starting point"}),
+    "r_max": ("--r-max", {"type": int}),
+    "n_schedule": ("--N", {"type": _n_schedule, "help": "comma-separated N schedule"}),
+    "source": ("--source", {"choices": _CHOICES["source"]}),
+    "kind": ("--kind", {"choices": _CHOICES["kind"]}),
+    "max_modulus": ("--max-modulus", {"type": int}),
+    "out": ("--out", {"help": "write <out>.csv and <out>.json"}),
+}
+
+# command -> (its function, the fields it requires, the other fields it reads);
+# a command takes the flags of exactly these fields, and --config
+_COMMANDS = {
+    "gauss": (cmd_gauss, ("q",), ("psi", "out")),
+    "multiplier": (cmd_multiplier, ("basis", "char", "rho"), ("kind", "out")),
+    "weyl": (cmd_weyl, ("basis", "char", "rho"), ("n_schedule", "source", "max_modulus", "out")),
+    "average": (cmd_average, ("function", "rho"), ("n_schedule", "source", "max_modulus", "out")),
+    "limit": (cmd_limit, ("function", "rho"), ("kind", "max_modulus", "out")),
+    "compare": (cmd_compare, ("function", "rho"), ("n_schedule", "kind", "max_modulus", "out")),
+    "torus": (cmd_torus, ("beta",), ("freqs", "coeffs", "x", "n_schedule", "source", "out")),
+    "wiener": (cmd_wiener, ("basis", "r_max", "rho"), ("kind", "max_modulus", "out")),
+}
+
+_REQUIRED_TEXT = {"function": "--function <file>"}  # the others read as their flag
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="adicergo",
                                      description="a-adic ergodic average experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, flags) in _COMMANDS.items():
+    for name, (_, required, optional) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--basis", help="const:<c> | cycle:<c0>,... | list:<c0>,... [@offset:<k>]")
-        p.add_argument("--rho", help="comma-separated integer coefficients, constant first")
-        p.add_argument("--char", help="<ell>/<A> or <ell>@level:<r>")
-        p.add_argument("--N", dest="n_schedule", type=_n_schedule,
-                       help="comma-separated N schedule")
-        p.add_argument("--source", choices=_CHOICES["source"])
-        p.add_argument("--kind", choices=_CHOICES["kind"])
-        p.add_argument("--out", help="write <out>.csv and <out>.json")
-        p.add_argument("--max-modulus", dest="max_modulus", type=int)
-        for flag, options in flags.items():
-            p.add_argument(flag, **options)
+        for field in (*required, *optional):
+            flag, options = _FLAGS[field]
+            p.add_argument(flag, dest=field, **options)
     return parser
 
 

@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from adicergo import basis as basis_module
 from adicergo import cli, weyl
 from adicergo.adic import embed
 from adicergo.basis import parse_basis
@@ -153,15 +155,49 @@ def test_unknown_config_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["gauss", "--q", "4000000000"],
-    ["multiplier", "--basis", "const:2", "--char", "1@level:33", "--rho", "0,0,1"],
+    ["gauss", "--q", "4000000007"],
+    ["multiplier", "--basis", "const:4000000007", "--char", "1@level:0", "--rho", "0,0,1"],
     ["multiplier", "--basis", "const:2", "--char", "1@level:1000000", "--rho", "0,0,1"],
 ])
 def test_modulus_past_vector_limit_is_a_budget_error(argv, capsys):
+    # 4,000,000,007 is a prime past the leaf budget; level 10^6 is past the
+    # bit budget
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, exact, magnitude", [
+    (["gauss", "--q", "4000000000"], None, math.sqrt(8e9)),  # 2^11 * 5^9: sqrt(2q)
+    (["multiplier", "--basis", "const:2", "--char", "1@level:33", "--rho", "0,0,1"], 0j, 0),
+    (["multiplier", "--basis", "const:2", "--char", "1@level:33", "--rho", "0,0,1",
+      "--kind", "natural"], (1 + 1j) / 2**17, 2**-16.5),
+    (["multiplier", "--basis", "cycle:2,3,5", "--char", "1@level:20", "--rho", "0,0,1",
+      "--kind", "natural"], None, math.sqrt(2) * 30**-3.5),  # D = 30^7
+], ids=["gauss", "prime", "natural", "cycle"])
+def test_sizes_past_the_old_vector_limit(tmp_path, argv, exact, magnitude):
+    # these moduli were refused (exit 2) while the multiplier was a D-sized vector
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 0
+    row = dict(zip(*read_csv(tmp_path / "o.csv")))
+    value = complex(float(row["re"]), float(row["im"]))
+    assert abs(value) == pytest.approx(magnitude, rel=1e-14)
+    assert exact is None or value == exact
+
+
+def test_huge_level_computes_its_modulus_once(monkeypatch, capsys):
+    # 30^333333 takes a tenth of a second, and every read recomputed it
+    products = []
+
+    def prod(values):
+        products.append(tuple(values))
+        return math.prod(values)
+
+    monkeypatch.setattr(basis_module, "math", types.SimpleNamespace(prod=prod))
+    assert run(["multiplier", "--basis", "cycle:2,3,5", "--char", "1@level:1000000",
+                "--rho", "0,0,1"]) == 2
+    assert "of 1635632 bits" in assert_one_error_line(capsys)
+    assert products == [(2, 3, 5), (2, 3)]  # one closed form: 30^333333 * 6
 
 
 def assert_one_error_line(capsys):
@@ -304,13 +340,18 @@ def test_config_value_of_wrong_type(tmp_path, capsys, command, doc, key):
 
 def test_config_value_types_accepted(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"q": 5, "psi": "0,1", "n_schedule": [3, 4], "out": None}))
-    cfg = cli.parse_config(cli.build_parser().parse_args(["gauss", "--config", str(path)]))
-    assert (cfg.q, cfg.psi, cfg.n_schedule, cfg.out) == (5, "0,1", [3, 4], None)
-    for bad in ({"q": True}, {"n_schedule": [1, 2.0]}, {"source": None}, {"x": 0}):
-        path.write_text(json.dumps(bad))
+
+    def parsed(command, doc):
+        path.write_text(json.dumps(doc))
+        return cli.parse_config(cli.build_parser().parse_args([command, "--config", str(path)]))
+
+    cfg = parsed("gauss", {"q": 5, "psi": "0,1", "out": None})
+    assert (cfg.q, cfg.psi, cfg.out) == (5, "0,1", None)
+    assert parsed("torus", {"beta": "0,0.5", "n_schedule": [3, 4]}).n_schedule == [3, 4]
+    for command, bad in (("gauss", {"q": True}), ("torus", {"n_schedule": [1, 2.0]}),
+                         ("torus", {"source": None}), ("torus", {"x": 0})):
         with pytest.raises(ValueError, match="must be"):
-            cli.parse_config(cli.build_parser().parse_args(["gauss", "--config", str(path)]))
+            parsed(command, bad)
 
 
 def test_average_refuses_a_schedule(monkeypatch, tmp_path, capsys):
@@ -328,7 +369,6 @@ def test_average_refuses_a_schedule(monkeypatch, tmp_path, capsys):
     ["average", "--rho", "0,0,1"],
     ["compare", "--rho", "0,0,1"],
     ["torus", "--beta", "0,0.5"],
-    ["gauss", "--q", "5"],
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_empty_schedule_is_refused(monkeypatch, tmp_path, capsys, command, source):
@@ -432,12 +472,56 @@ def test_config_choices_are_checked(monkeypatch, tmp_path, capsys, doc, argv):
 
 
 def test_char_spellings_agree_past_level_63(capsys):
-    # 1/2^70 was "not a cumulative modulus" while 1@level:69 met the budget
-    results = []
+    # 1/2^70 was "not a cumulative modulus" while 1@level:69 was accepted
+    outputs = []
     for char in (f"1/{2**70}", "1@level:69"):
+        assert run(["multiplier", "--basis", "const:2", "--char", char, "--rho", "0,0,1"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(f"prime multiplier (modulus {2**70}): ")
+    # and past the bit budget both spellings meet it
+    results = []
+    for char in (f"1/{2**10001}", "1@level:10000"):
         rc = run(["multiplier", "--basis", "const:2", "--char", char, "--rho", "0,0,1"])
         results.append((rc, assert_one_error_line(capsys)))
     assert results[0] == results[1]
-    assert results[0][0] == 2 and "of 71 bits" in results[0][1]
+    assert results[0][0] == 2 and "of 10002 bits" in results[0][1]
     assert run(["multiplier", "--basis", "const:2", "--char", "1/3", "--rho", "0,0,1"]) == 1
     assert "3 is not a cumulative modulus" in assert_one_error_line(capsys)
+
+
+def test_unread_flag_is_refused(capsys):
+    # every command took all nine common flags: gauss ran with an invalid basis
+    with pytest.raises(SystemExit) as exc:
+        run(["gauss", "--q", "5", "--basis", "const:1", "--kind", "natural", "--N", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --basis const:1 --kind natural --N 5" in err
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    (["gauss", "--q", "5"], {"r": 5}, "unknown config key 'r'"),
+    (["gauss", "--q", "5"], {"n_schedule": [5]}, "config key 'n_schedule' is not read by gauss"),
+    (["multiplier", "--basis", "const:2", "--char", "1/8", "--rho", "0,0,1"],
+     {"max_modulus": 64}, "config key 'max_modulus' is not read by multiplier"),
+    (["torus", "--beta", "0,0.5"], {"kind": "prime"}, "config key 'kind' is not read by torus"),
+], ids=["r", "gauss-N", "multiplier-max-modulus", "torus-kind"])
+def test_unread_config_key_is_refused(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert run([*command, "--config", str(path)]) == 1
+    assert assert_one_error_line(capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_config_echo_holds_the_fields_read(monkeypatch, tmp_path, command):
+    # the config a report echoes is accepted back by its command
+    monkeypatch.chdir(tmp_path)
+    write_function(tmp_path, "const:2", 2, np.ones(8))
+    argv = [command, *(x for f, v in REQUIRED[command].items() for x in (f, v))]
+    assert run([*argv, "--out", "first"]) == 0
+    echo = json.loads((tmp_path / "first.json").read_text())["config"]
+    _, required, optional = cli._COMMANDS[command]
+    assert set(echo) <= {*required, *optional}
+    assert run([command, "--config", "first.json", "--out", "second"]) == 0
+    assert (tmp_path / "first.csv").read_text() == (tmp_path / "second.csv").read_text()

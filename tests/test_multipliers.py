@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adicergo import characters, ergodic, multipliers, weyl
-from adicergo.adic import embed
+from adicergo.adic import embed, poly_mod
 from adicergo.basis import parse_basis
 from adicergo.characters import Character, ReducedPhase, reduce_phase
 from adicergo.ergodic import (CylinderFunction, compare, multiplier_table,
@@ -53,6 +53,106 @@ def phase(d, coeffs, c=Fraction(0)):
 
 def e(num, den):
     return cmath.exp(2j * cmath.pi * num / den)
+
+
+def vector_mean(ph, kind):
+    """The multiplier as one D-sized vector: the mean of e(phase(m)/D) over
+    the units mod D (prime kind) or over all residues (natural kind)."""
+    m = np.arange(ph.modulus, dtype=np.int64)
+    if kind == "prime":
+        m = m[np.gcd(m, ph.modulus) == 1]
+    terms = np.exp(2j * np.pi * poly_mod((0, *ph.coeffs), ph.modulus, m) / ph.modulus)
+    c = ph.constant
+    return e(c.numerator, c.denominator) * complex(np.mean(terms))
+
+
+# Bases of the oracle test, each with the top level at which D <= 2^15.
+ORACLE_LEVEL = {"const:2": 14, "const:3": 8, "cycle:2,3,5": 8, "list:3,2,7,2": 3,
+                "cycle:2,3,5@offset:-1": 6, "const:2@offset:-1": 13}
+
+
+@st.composite
+def phase_cases(draw):
+    """A reduced phase of a random character and a rho of degree 1 to 4."""
+    text = draw(st.sampled_from(sorted(ORACLE_LEVEL)))
+    basis = parse_basis(text)
+    r = draw(st.integers(basis.offset, ORACLE_LEVEL[text]))
+    a = basis.modulus(r)
+    coeffs = draw(st.lists(st.integers(0, a - 1), min_size=1, max_size=4))
+    coeffs.append(draw(st.integers(1, a - 1)))
+    rho = [embed(c, basis, r) for c in coeffs]
+    return reduce_phase(Character(basis, r, draw(st.integers(0, a - 1))), rho)
+
+
+@settings(max_examples=300, deadline=None)
+@given(phase_cases())
+def test_multiplier_matches_vector_mean(ph):
+    # the CRT product of stationary-phase means against the D-sized vector
+    assert abs(multiplier_prime(ph).value - vector_mean(ph, "prime")) <= 1e-14
+    assert abs(multiplier_natural(ph).value - vector_mean(ph, "natural")) <= 1e-14
+
+
+@pytest.mark.parametrize("u", [1, 2, 5, 7])
+def test_squares_past_the_vector_limit(u):
+    # rho = u*n^2 at D = 3^e: the unit sum vanishes at every e >= 2; the
+    # natural mean is 3^-50 at e = 100 and 3^-50 (u/3) i/sqrt(3) at e = 101,
+    # (u/3) the Legendre symbol
+    legendre = 1 if u % 3 == 1 else -1
+    for e_, natural in ((100, 1 / 3**50), (101, legendre * 1j / 3**50 / math.sqrt(3))):
+        ph = phase(3**e_, (0, u))
+        assert multiplier_prime(ph).value == 0j
+        got = multiplier_natural(ph).value
+        assert abs(got - natural) <= 1e-15 * abs(natural)
+        if e_ == 100:
+            assert got == natural  # to the last bit
+
+
+def test_gauss_sum_past_the_vector_limit():
+    q = 4_000_000_000  # 2^11 * 5^9
+    assert abs(complete_exp_sum([0, 1], q)) == pytest.approx(math.sqrt(2 * q), rel=1e-14)
+
+
+def test_deep_stationary_phase_at_the_bit_budget():
+    # rho = n^2 on const:2 descends e/2 levels, past the recursion limit
+    bits = multipliers._MODULUS_BITS_LIMIT
+    ph = phase(2**(bits - 1), (0, 1))
+    assert multiplier_natural(ph).value == 0j  # 2^-(bits/2) is below the doubles
+    assert multiplier_prime(ph).value == 0j
+    with pytest.raises(BudgetError, match=f"of {bits + 1} bits"):
+        multiplier_natural(phase(2**bits, (0, 1)))
+
+
+@pytest.mark.parametrize("d, largest", [(2**201, 2), (3**100 * 5**40, 5),
+                                         (2**11 * 999983, 999983)],
+                         ids=["2^201", "3^100*5^40", "2^11*999983"])
+def test_work_follows_the_prime_factors(monkeypatch, d, largest):
+    # no vector is longer than the largest prime factor of D, and with the
+    # content divided out the classes visited stay below the bit length of D
+    sizes = []
+
+    def counted(coeffs, modulus, points):
+        sizes.append(len(points))
+        if len(sizes) > 10 * d.bit_length():
+            raise AssertionError("the stationary phase branches without bound")
+        return poly_mod(coeffs, modulus, points)
+
+    monkeypatch.setattr(multipliers, "poly_mod", counted)
+    for coeffs in ((0, 1), (0, 0, 0, 1), (1, 1, 1, 1, 1), (0, 1, 0, 1, 0, 1)):
+        for mult in (multiplier_prime, multiplier_natural):
+            sizes.clear()
+            mult(phase(d, coeffs))
+            assert max(sizes) <= largest and len(sizes) <= d.bit_length()
+
+
+def test_budget_is_the_largest_prime_factor():
+    big = 4_000_000_007  # prime, past the leaf budget
+    for ph in (phase(big, (0, 1)), phase(2**40 * big, (1, 1))):
+        with pytest.raises(BudgetError, match="cofactor 4000000007"):
+            multiplier_prime(ph)
+    with pytest.raises(BudgetError, match="cofactor"):
+        complete_exp_sum([0, 1], big)
+    q = 2**11 * 999983  # a leaf of 999,983 terms
+    assert abs(complete_exp_sum([0, 1], q)) == pytest.approx(math.sqrt(2 * q), rel=1e-12)
 
 
 def test_prime_multiplier_examples():
