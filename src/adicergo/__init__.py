@@ -16,7 +16,7 @@ from .multipliers import (BudgetError, MultiplierValue, complete_exp_sum,
                           multiplier_prime, wiener_energy)
 from .primes import prime_count, primes_in_range
 from .weyl import (OrbitHistogram, adic_weyl_sum, adic_weyl_sums,
-                   orbit_histogram, torus_weyl_sum)
+                   orbit_histogram, phase_sums)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import types
@@ -18,7 +19,8 @@ from .characters import parse_character, reduce_phase
 from .ergodic import (CylinderFunction, compare, cylinder_from_dict,
                       cylinder_to_dict, empirical_average, predicted_limit,
                       torus_averages)
-from .multipliers import (DEFAULT_MAX_MODULUS, BudgetError, complete_exp_sum,
+from .multipliers import (DEFAULT_MAX_MODULUS, MODULUS_CEILING, BudgetError,
+                          _check_bits, _check_budget, complete_exp_sum,
                           multiplier_natural, multiplier_prime, wiener_energy)
 from .weyl import adic_weyl_sums
 
@@ -87,7 +89,8 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge a config file (if given) with command-line flags; flags win.
     A config key the command does not read is refused, and the fields it does
     not read stay unset, so the config echo of a report can be fed back.
-    Then every field the command requires must be set, in table order."""
+    Then every field the command requires must be set, in table order, and
+    --max-modulus must be within its ceiling."""
     cfg = ExperimentConfig()
     _, required, optional = _COMMANDS[args.command]
     fields = (*required, *optional)
@@ -120,6 +123,8 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ValueError(f"{_REQUIRED_TEXT.get(key, _FLAGS[key][0])} is required")
     if cfg.n_schedule == []:
         raise ValueError("the N schedule is empty")
+    if cfg.max_modulus is not None:
+        _check_budget(cfg.max_modulus, MODULUS_CEILING, "--max-modulus")
     return cfg
 
 
@@ -214,6 +219,7 @@ def cmd_gauss(cfg: ExperimentConfig) -> int:
 def cmd_multiplier(cfg: ExperimentConfig) -> int:
     basis = parse_basis(cfg.basis)
     chi = parse_character(cfg.char, basis)
+    _check_bits(chi.modulus, "character modulus")  # the report writes it in decimal
     rho = cfg.parsed_rho(basis, chi.r)
     _degree_notice(cfg, rho)
     phase = reduce_phase(chi, rho)
@@ -372,7 +378,9 @@ _COMMANDS = {
 _REQUIRED_TEXT = {"function": "--function <file>"}  # the others read as their flag
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process."""
     parser = argparse.ArgumentParser(prog="adicergo",
                                      description="a-adic ergodic average experiments")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,7 +11,7 @@ import numpy as np
 from .adic import AdicInt
 from .basis import Basis, parse_basis
 from .multipliers import DEFAULT_MAX_MODULUS, _check_budget, limit_distribution
-from .weyl import _schedule_values, orbit_histogram, torus_weyl_sum
+from .weyl import _point_route, _schedule_values, orbit_histogram, phase_sums
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def multiplier_table(basis: Basis, r: int, rho: list[AdicInt], kind: str,
     modulus D.
     """
     w = limit_distribution(basis, r, rho, kind, max_modulus)
-    return w.modulus * np.fft.ifft(w.counts / w.total)
+    return len(w.counts) * np.fft.ifft(w.counts / w.total)
 
 
 def _apply_multipliers(f: CylinderFunction, table: np.ndarray, budget: int) -> CylinderFunction:
@@ -155,8 +155,9 @@ def torus_averages(trig_coeffs: dict, beta, x, n_schedule: list[int],
 
     trig_coeffs maps a frequency (int, or tuple for d > 1) to a complex
     coefficient; beta gives the orbit polynomial coefficients per torus
-    component (a flat list means d = 1); x is the starting point.  The source
-    is generated once, to the largest N, and every sum runs over a prefix.
+    component (a flat list means d = 1); x is the starting point.  Each
+    frequency is one `phase_sums` call; the source is generated at most once,
+    to the largest N, and only when the primes or a point-route phase need it.
     """
     first = _as_tuple(next(iter(trig_coeffs)))
     dim = len(first)
@@ -168,19 +169,22 @@ def torus_averages(trig_coeffs: dict, beta, x, n_schedule: list[int],
     xs = _as_tuple(x)
     if len(xs) != dim:
         raise ValueError("starting point dimension mismatch")
-    values = _schedule_values(source, n_schedule)
-    totals = [0j] * len(n_schedule)
+    degree = max(len(comp) for comp in betas)
+    terms = []
     for freq, coeff in trig_coeffs.items():
         m = _as_tuple(freq)
         if len(m) != dim:
             raise ValueError("mixed frequency dimensions")
-        degree = max(len(comp) for comp in betas)
-        eff = [sum(mi * comp[j] for mi, comp in zip(m, betas) if j < len(comp))
+        phi = [sum(mi * comp[j] for mi, comp in zip(m, betas) if j < len(comp))
                for j in range(degree)]
         phase_x = sum(mi * xi for mi, xi in zip(m, xs))
-        weight = coeff * cmath.exp(2j * cmath.pi * phase_x)
-        for i, n in enumerate(n_schedule):
-            totals[i] += weight * torus_weyl_sum(eff, n, source, values)
+        terms.append((phi, coeff * cmath.exp(2j * cmath.pi * phase_x)))
+    needed = source == "primes" or any(_point_route(phi) for phi, _ in terms)
+    values = _schedule_values(source, n_schedule) if needed else None
+    totals = [0j] * len(n_schedule)
+    for phi, weight in terms:
+        for i, s in enumerate(phase_sums(phi, n_schedule, source, values)):
+            totals[i] += weight * s
     return totals
 
 

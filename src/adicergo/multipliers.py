@@ -14,15 +14,21 @@ from .basis import Basis
 from .characters import ReducedPhase, unit_phase
 
 # the largest prime factor of a phase or Gauss modulus, whose residues are
-# summed as one vector; moduli are factored by trial division up to its root
-_VECTOR_MODULUS_LIMIT = 3_000_000_000
+# summed as one vector of about 31 bytes a residue: 10^7 peaks at 333 MB and
+# takes 1.4 s on a 2-vCPU Xeon VM; moduli are factored by trial division up
+# to its root
+_VECTOR_MODULUS_LIMIT = 10_000_000
 _TRIAL_LIMIT = math.isqrt(_VECTOR_MODULUS_LIMIT)
-# the largest bit length of a phase or Gauss modulus: rho = n^2 over all
-# residues of const:2 goes 5,000 levels deep there, in about 0.25 s on a
-# 2-vCPU Xeon VM, and D still prints in decimal (Python stops at 4,300 digits)
+# the largest bit length of a phase, Gauss or character modulus: rho = n^2 over
+# all residues of const:2 goes 5,000 levels deep there, in about 0.25 s on a
+# 2-vCPU Xeon VM, and it still prints in decimal (Python stops at 4,300 digits)
 _MODULUS_BITS_LIMIT = 10_000
 
 DEFAULT_MAX_MODULUS = 1 << 20
+# the largest --max-modulus, and the vector budget of a phase sum's class
+# route: `weyl` at A = 2^22 peaks at 190 MB in 1 s, `wiener` to 2^22 at 174 MB
+# in 2.7 s, on a 2-vCPU Xeon VM
+MODULUS_CEILING = 1 << 22
 
 
 class BudgetError(RuntimeError):
@@ -53,19 +59,16 @@ class OrbitHistogram:
     there counts/total is the N -> infinity limit of the source's histogram.
     """
 
-    basis: Basis
-    r: int
     counts: np.ndarray
     total: int
-    source: str  # "primes" | "naturals"
-
-    @property
-    def modulus(self) -> int:
-        return self.basis.modulus(self.r)
 
 
-def _poly_table(basis: Basis, r: int, rho: list[AdicInt], max_modulus: int) -> np.ndarray:
-    """rho(t) mod A for every residue t, as an int64 vector."""
+def _poly_table(basis: Basis, r: int, rho: list[AdicInt], max_modulus: int,
+                weights) -> np.ndarray:
+    """Class weights scattered through the table of rho mod A: out[c] is the
+    exact int64 sum of weights(A)[t] over the residues t with rho(t) = c mod A.
+    `weights` is called once A has met the budget; it gives the class counts
+    of a sample, the units indicator, or 1 for every residue."""
     a = basis.modulus(r)
     _check_budget(a, max_modulus, "modulus")
     if not rho:
@@ -75,13 +78,10 @@ def _poly_table(basis: Basis, r: int, rho: list[AdicInt], max_modulus: int) -> n
             raise ValueError("basis mismatch in polynomial coefficients")
         if c.r < r:
             raise ValueError("coefficient precision below histogram precision")
-    return poly_mod([c.v for c in rho], a, np.arange(a, dtype=np.int64))
-
-
-def _units(a: int) -> np.ndarray:
-    """The residues mod A prime to A, ascending."""
-    m = np.arange(a, dtype=np.int64)
-    return m[np.gcd(m, a) == 1]
+    table = poly_mod([c.v for c in rho], a, np.arange(a, dtype=np.int64))
+    counts = np.zeros(a, dtype=np.int64)
+    np.add.at(counts, table, np.asarray(weights(a), dtype=np.int64))
+    return counts
 
 
 def limit_distribution(basis: Basis, r: int, rho: list[AdicInt], kind: str,
@@ -95,13 +95,10 @@ def limit_distribution(basis: Basis, r: int, rho: list[AdicInt], kind: str,
     """
     if kind not in ("prime", "natural"):
         raise ValueError(f"unknown multiplier kind {kind!r}")
-    table = _poly_table(basis, r, rho, max_modulus)
-    a = len(table)
-    if kind == "prime":
-        table = table[_units(a)]
-    counts = np.bincount(table, minlength=a)
-    return OrbitHistogram(basis, r, counts, len(table),
-                          "primes" if kind == "prime" else "naturals")
+    units = kind == "prime"
+    counts = _poly_table(basis, r, rho, max_modulus,
+                         lambda a: np.gcd(np.arange(a, dtype=np.int64), a) == 1 if units else 1)
+    return OrbitHistogram(counts, int(counts.sum()))
 
 
 def _exp_sum(coeffs, modulus: int, residues: np.ndarray) -> complex:
@@ -111,14 +108,19 @@ def _exp_sum(coeffs, modulus: int, residues: np.ndarray) -> complex:
     return complex(np.sum(np.exp(phases, out=phases)))
 
 
+def _check_bits(n: int, what: str):
+    """Refuse a modulus past the bit budget."""
+    if n.bit_length() > _MODULUS_BITS_LIMIT:
+        raise BudgetError(f"{what} of {n.bit_length()} bits exceeds budget"
+                          f" {_MODULUS_BITS_LIMIT} bits")
+
+
 def _prime_powers(n: int, what: str) -> list[tuple[int, int]]:
     """n as [(p, e), ...], by trial division up to the square root of the
     leaf budget.  The bit length of n is checked before the loop, and a
     cofactor left past the leaf budget is refused after it, before any
-    vector exists."""
-    if n.bit_length() > _MODULUS_BITS_LIMIT:
-        raise BudgetError(f"{what} of {n.bit_length()} bits exceeds budget"
-                          f" {_MODULUS_BITS_LIMIT} bits")
+    vector exists, unless it is a power of one prime within the budget."""
+    _check_bits(n, what)
     factors = []
     p = 2
     while p <= _TRIAL_LIMIT and p * p <= n:
@@ -127,9 +129,26 @@ def _prime_powers(n: int, what: str) -> list[tuple[int, int]]:
             factors.append((p, e))
         p += 1 if p == 2 else 2
     if n > 1:
-        _check_budget(n, _VECTOR_MODULUS_LIMIT, f"{what} cofactor")
-        factors.append((n, 1))
+        m, k = _prime_root(n)
+        _check_budget(m, _VECTOR_MODULUS_LIMIT, f"{what} cofactor")
+        factors.append((m, k))
     return factors
+
+
+def _prime_root(n: int) -> tuple[int, int]:
+    """(m, k) with m^k = n and m within the leaf budget, for a cofactor n > 1
+    with no prime factor up to the trial limit, or (n, 1) if there is none.
+    Such an m has no factor up to its square root, so it is prime.  An m below
+    2^24 is the double 2^(log2(n)/k) rounded, exactly."""
+    log = math.log2(n)
+    for k in range(2, n.bit_length() + 1):
+        if log / k < 64:
+            m = round(2 ** (log / k))
+            if m <= _TRIAL_LIMIT:
+                break
+            if m <= _VECTOR_MODULUS_LIMIT and m ** k == n:
+                return m, k
+    return n, 1
 
 
 def _split(n: int, p: int) -> tuple[int, int]:

@@ -1,5 +1,5 @@
-"""Empirical Weyl sums over primes and naturals, via orbit histograms, and
-torus-phase sums with exact dyadic phase evaluation."""
+"""Sums of e(phi(n)) over primes or naturals for a rational polynomial phi,
+which Weyl sums of characters and torus sums both are, and orbit histograms."""
 from __future__ import annotations
 
 import math
@@ -9,9 +9,9 @@ import numpy as np
 
 from .adic import AdicInt, poly_mod
 from .basis import Basis
-from .characters import Character
-from .multipliers import (DEFAULT_MAX_MODULUS, BudgetError, OrbitHistogram,
-                          _check_budget, _poly_table)
+from .characters import Character, reduce_phase
+from .multipliers import (DEFAULT_MAX_MODULUS, MODULUS_CEILING, BudgetError,
+                          OrbitHistogram, _check_budget, _poly_table)
 from .primes import primes_in_range, sieve_budget
 
 def _check_bound(source: str, n: int):
@@ -47,88 +47,90 @@ def _schedule_values(source: str, n_schedule: list[int]) -> np.ndarray | None:
     return _source_values(source, max(n_schedule)) if n_schedule else None
 
 
-def _natural_class_counts(n: int, a: int) -> np.ndarray:
-    """#{1 <= m <= N : m = c mod A} for every class c, in O(A) for any N:
-    N // A full periods, plus one for 1 <= c <= N mod A."""
-    counts = np.full(a, n // a, dtype=np.int64)
-    counts[1: n % a + 1] += 1
-    return counts
+def _class_counts(source: str, n: int, m: int,
+                  values: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """The class counts mod m of the source up to N, and their total.  Over
+    the naturals they are closed-form, O(m) for any N below 2^63: N // m full
+    periods, plus one for 1 <= c <= N mod m.  Over the primes they are one
+    bincount of the sieve (a prefix of `values` when given)."""
+    if source == "naturals":
+        _check_bound(source, n)
+        _check_budget(n, int(np.iinfo(np.int64).max), "N")
+        counts = np.full(m, n // m, dtype=np.int64)
+        counts[1: n % m + 1] += 1
+        return counts, n
+    primes = _source_values(source, n, values)
+    return np.bincount(primes % m, minlength=m), len(primes)
 
 
 def orbit_histogram(basis: Basis, r: int, rho: list[AdicInt], n: int, source: str,
                     max_modulus: int = DEFAULT_MAX_MODULUS,
                     values: np.ndarray | None = None) -> OrbitHistogram:
-    """Exact bin counts of rho over the source up to N, reduced mod A.
-
-    The class counts mod A are closed-form over the naturals, O(A) for any N,
-    and one bincount of the sieved primes otherwise (a prefix of `values`,
-    the primes sieved once for a whole schedule, when given).  An O(A)
-    polynomial table maps classes to bins; the same histogram serves every
-    character and every translate."""
-    table = _poly_table(basis, r, rho, max_modulus)
-    a = len(table)
-    if source == "naturals":
-        _check_bound(source, n)
-        _check_budget(n, int(np.iinfo(np.int64).max), "N")
-        class_counts, total = _natural_class_counts(n, a), n
-    else:
-        primes = _source_values(source, n, values)
-        class_counts, total = np.bincount(primes % a, minlength=a), len(primes)
-    counts = np.zeros(a, dtype=np.int64)
-    np.add.at(counts, table, class_counts)
-    return OrbitHistogram(basis, r, counts, total, source)
+    """Exact bin counts of rho over the source up to N, reduced mod A: the
+    class counts of the source mod A scattered through the O(A) polynomial
+    table.  `values` may carry the primes sieved once for a whole schedule."""
+    counts = _poly_table(basis, r, rho, max_modulus,
+                         lambda a: _class_counts(source, n, a, values)[0])
+    return OrbitHistogram(counts, int(counts.sum()))
 
 
-def character_table(chi: Character) -> np.ndarray:
-    """chi at every residue of its modulus, arguments reduced in integers."""
-    a = chi.modulus
-    nums = (chi.ell * np.arange(a, dtype=np.int64)) % a
-    return np.exp(2j * np.pi * nums / a)
+def _torus_phases(coeffs: list[Fraction], values: np.ndarray) -> np.ndarray:
+    """Fractional parts of sum_j coeffs[j] * n^j, exact integers mod the common
+    denominator rounded to double once: by numpy when it is at most 2^53 (the
+    cast is exact, the division rounds) or divides 2^64 (the cast rounds, the
+    division is exact; every double of size >= 2^-12), else by int / int."""
+    den = _denominator(coeffs)
+    phases = poly_mod([c.numerator * (den // c.denominator) for c in coeffs], den, values)
+    if den > 1 << 53 and (1 << 64) % den:
+        return np.array([v / den for v in phases.tolist()], dtype=np.float64)
+    return phases.astype(np.float64) / den
+
+
+def _denominator(phi: list[Fraction]) -> int:
+    return math.lcm(*(c.denominator for c in phi))
+
+
+def _point_route(phi: list[Fraction]) -> bool:
+    return _denominator(phi) > MODULUS_CEILING
+
+
+def phase_sums(phi: list, n_schedule: list[int], source: str,
+               values: np.ndarray | None = None) -> list[complex]:
+    """Normalized sums of e(phi(n)) over the source up to each N, for
+    phi(x) = phi[0] + phi[1] x + ... with rational coefficients.  `values` may
+    carry the source up to every N, its bounds already checked.
+
+    Class route, when the common denominator den is within the vector budget:
+    e(phi) on the residues mod den, weighted by the class counts of the source
+    mod den (the naturals cost O(den) at any N).  Point route, otherwise:
+    e(phi) once over the source up to the largest N, each N summing a prefix.
+    """
+    phi = [Fraction(c) for c in phi]
+    if values is None and (source == "primes" or _point_route(phi)):
+        values = _schedule_values(source, n_schedule)
+    if not n_schedule:
+        return []
+    if _point_route(phi):
+        ends = np.searchsorted(values, n_schedule, side="right").tolist()
+        terms = np.exp(2j * np.pi * _torus_phases(phi, values[:max(ends)]))
+        return [complex(np.sum(terms[:k]) / k) for k in ends]
+    den = _denominator(phi)
+    terms = np.exp(2j * np.pi * _torus_phases(phi, np.arange(den, dtype=np.int64)))
+    return [complex(np.sum(counts * terms) / total)
+            for counts, total in (_class_counts(source, n, den, values) for n in n_schedule)]
 
 
 def adic_weyl_sums(chi: Character, rho: list[AdicInt], n_schedule: list[int], source: str,
                    max_modulus: int = DEFAULT_MAX_MODULUS) -> list[complex]:
-    """Normalized sums of chi(rho(p)) over primes (or naturals) up to each N
-    of a schedule; the primes are sieved once, to the largest N."""
-    values = _schedule_values(source, n_schedule) if source == "primes" else None
-    return [weyl_sum_from_histogram(
-                chi, orbit_histogram(chi.basis, chi.r, rho, n, source, max_modulus, values))
-            for n in n_schedule]
+    """Normalized sums of chi(rho(p)) over primes (or naturals) up to each N:
+    the phase sums of phi(x) = constant + sum_j c_j x^j / D from reduce_phase."""
+    _check_budget(chi.modulus, max_modulus, "modulus")
+    phase = reduce_phase(chi, rho)
+    phi = [phase.constant, *(Fraction(c, phase.modulus) for c in phase.coeffs)]
+    return phase_sums(phi, n_schedule, source)
 
 
 def adic_weyl_sum(chi: Character, rho: list[AdicInt], n: int, source: str,
                   max_modulus: int = DEFAULT_MAX_MODULUS) -> complex:
     """Normalized sum of chi(rho(p)) over primes (or naturals) up to N."""
     return adic_weyl_sums(chi, rho, [n], source, max_modulus)[0]
-
-
-def weyl_sum_from_histogram(chi: Character, hist: OrbitHistogram) -> complex:
-    if chi.basis != hist.basis or chi.r != hist.r:
-        raise ValueError("character does not match histogram")
-    return complex(np.sum(hist.counts * character_table(chi)) / hist.total)
-
-
-def _torus_phases(coeffs: list[Fraction], values: np.ndarray) -> np.ndarray:
-    """Fractional parts of sum_j coeffs[j] * n^j, exactly, for each n.
-
-    Floats are exact dyadic rationals, so the phase is an exact integer mod
-    the least common denominator, rounded to double once: over a denominator
-    dividing 2^64 (every double of size >= 2^-12) by the cast, the division
-    being exact, and over any other by Python's int / int.
-    """
-    den = math.lcm(*(c.denominator for c in coeffs))
-    phases = poly_mod([c.numerator * (den // c.denominator) for c in coeffs], den, values)
-    if (1 << 64) % den:
-        return np.array([v / den for v in phases.tolist()], dtype=np.float64)
-    return phases.astype(np.float64) / den
-
-
-def torus_weyl_sum(beta: list[float | Fraction], n: int, source: str,
-                   values: np.ndarray | None = None) -> complex:
-    """Normalized sum of e(2*pi*i * rho(p)) over the source up to N, with
-    rho(x) = beta[0] + beta[1] x + ... + beta[k] x^k.  `values` may carry the
-    source generated once to a bound >= N; the sum runs over its prefix."""
-    coeffs = [b if isinstance(b, Fraction) else Fraction(b) for b in beta]
-    points = _source_values(source, n, values)
-    phases = _torus_phases(coeffs, points)
-    return complex(np.sum(np.exp(2j * np.pi * phases)) / len(points))

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -17,7 +18,7 @@ from adicergo.basis import parse_basis
 from adicergo.characters import Character
 from adicergo.cli import main
 from adicergo.ergodic import CylinderFunction, compare, torus_average
-from adicergo.weyl import adic_weyl_sum, character_table
+from adicergo.weyl import adic_weyl_sum
 
 
 def run(argv):
@@ -85,7 +86,7 @@ def test_weyl_naturals_matches_multiplier(tmp_path, capsys):
 
 
 def test_compare_json_shape(tmp_path):
-    values = character_table(Character(parse_basis("const:2"), 2, 1))
+    values = np.exp(2j * np.pi * np.arange(8) / 8)  # the character 1/8
     fpath = write_function(tmp_path, "const:2", 2, values)
     out = tmp_path / "cmp"
     assert run(["compare", "--function", fpath, "--rho", "0,0,1",
@@ -200,6 +201,41 @@ def test_huge_level_computes_its_modulus_once(monkeypatch, capsys):
     assert products == [(2, 3, 5), (2, 3)]  # one closed form: 30^333333 * 6
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["multiplier", "--basis", "const:2", "--char", "0@level:15000", "--rho", "0,0,1"],
+     "character modulus of 15002 bits exceeds budget 10000 bits"),
+    (["wiener", "--basis", "const:2", "--rho", "0,0,1", "--r-max", "80",
+      "--max-modulus", str(10**28)], "--max-modulus of 94 bits exceeds budget 4194304"),
+    (["weyl", "--basis", "const:2", "--char", "1/8", "--rho", "0,0,1",
+      "--max-modulus", str(2**22 + 1)], "--max-modulus 4194305 exceeds budget 4194304"),
+    (["gauss", "--q", "40000003"], "modulus cofactor 40000003 exceeds budget 10000000"),
+], ids=["char-modulus", "max-modulus-huge", "max-modulus", "leaf"])
+def test_budgets_refuse_before_output(monkeypatch, capsys, argv, message):
+    # the character modulus 2^15001 was printed in decimal after the value, and
+    # --max-modulus had no ceiling; none of these allocates a vector
+    aranges = []
+    arange = np.arange
+    monkeypatch.setattr(np, "arange", lambda *a, **k: aranges.append(a) or arange(*a, **k))
+    assert run(argv) == 2
+    assert assert_one_error_line(capsys) == f"error: {message}\n"
+    assert aranges == []
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    cli.build_parser.cache_clear()
+    progs = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: progs.append(k.get("prog")) or init(self, *a, **k))
+    with pytest.raises(SystemExit) as exc:
+        run(["gauss", "--q", "5", "--basis", "const:2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --basis const:2" in capsys.readouterr().err
+    assert run(["gauss", "--q", "5"]) == 0
+    assert "2.2360679" in capsys.readouterr().out
+    assert progs == ["adicergo", *(f"adicergo {name}" for name in cli._COMMANDS)]
+
+
 def assert_one_error_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -245,9 +281,14 @@ def test_torus_naturals_checked_against_budget(monkeypatch, capsys):
     aranges = []
     arange = np.arange
     monkeypatch.setattr(np, "arange", lambda *a, **k: aranges.append(a) or arange(*a, **k))
-    assert run(["torus", "--beta", "0,0.5", "--N", "5000", "--source", "naturals"]) == 2
+    # 0.1 is a dyadic of denominator 2^55: the sum runs over the points 1..N
+    assert run(["torus", "--beta", "0,0.1", "--N", "5000", "--source", "naturals"]) == 2
     assert "budget" in assert_one_error_line(capsys)
     assert aranges == []
+    # 0.5 has denominator 2: the sum runs over the two classes, nothing N-sized
+    assert run(["torus", "--beta", "0,0.5", "--N", "5000", "--source", "naturals"]) == 0
+    assert capsys.readouterr().out.startswith("torus average N=5000: 0 + ")
+    assert aranges == [(2,)]
 
 
 def test_weyl_naturals_at_huge_n(capsys):

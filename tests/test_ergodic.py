@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from adicergo.adic import embed, include_in_window
 from adicergo.basis import parse_basis
-from adicergo.characters import Character
+from adicergo.characters import Character, char_value
 from adicergo.cli import _json_text
 from adicergo.ergodic import (CylinderFunction, Spectrum, compare,
                               cylinder_from_dict, cylinder_to_dict, dft,
@@ -17,8 +17,7 @@ from adicergo.ergodic import (CylinderFunction, Spectrum, compare,
                               torus_average, translate)
 from adicergo.multipliers import BudgetError
 from adicergo.primes import primes_in_range
-from adicergo.weyl import (adic_weyl_sum, character_table, orbit_histogram,
-                           torus_weyl_sum)
+from adicergo.weyl import adic_weyl_sum, orbit_histogram, phase_sums
 
 DYADIC = parse_basis("const:2")
 CYCLE = parse_basis("cycle:2,3,5")
@@ -32,6 +31,14 @@ def random_function(basis, r, seed=0):
     rng = np.random.default_rng(seed)
     a = basis.modulus(r)
     return CylinderFunction(basis, r, rng.normal(size=a) + 1j * rng.normal(size=a))
+
+
+def character_table(chi):
+    return np.array([char_value(chi, c) for c in range(chi.modulus)])
+
+
+def torus_sum(beta, n, source):
+    return phase_sums(beta, [n], source)[0]
 
 
 def character_function(basis, r, ell):
@@ -239,7 +246,7 @@ def test_torus_average_shift_covariance():
     trig = {1: 1.0, -1: 0.5j}
     x = 0.37
     lhs = torus_average(trig, beta, x, 500, "primes")
-    rhs = sum(c * cmath.exp(2j * cmath.pi * m * x) * torus_weyl_sum(
+    rhs = sum(c * cmath.exp(2j * cmath.pi * m * x) * torus_sum(
         [m * b for b in beta], 500, "primes") for m, c in trig.items())
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -248,7 +255,7 @@ def test_torus_average_two_dimensional():
     trig = {(1, 0): 1.0, (0, 1): 1.0}
     beta = [[0.0, 0.0, math.sqrt(2)], [0.0, 0.0, math.sqrt(3)]]
     v = torus_average(trig, beta, (0.0, 0.0), 10**4, "primes")
-    direct = torus_weyl_sum(beta[0], 10**4, "primes") + torus_weyl_sum(beta[1], 10**4, "primes")
+    direct = torus_sum(beta[0], 10**4, "primes") + torus_sum(beta[1], 10**4, "primes")
     assert v == pytest.approx(direct, abs=1e-12)
     with pytest.raises(ValueError, match="component"):
         torus_average(trig, [0.0, 1.0], (0.0, 0.0), 100, "primes")

@@ -155,6 +155,18 @@ def test_budget_is_the_largest_prime_factor():
     assert abs(complete_exp_sum([0, 1], q)) == pytest.approx(math.sqrt(2 * q), rel=1e-12)
 
 
+def test_power_of_a_prime_past_the_trial_limit():
+    # 999,983^2 has no factor up to the trial limit; its root is a leaf
+    assert abs(complete_exp_sum([0, 1], 999983**2)) == pytest.approx(999983, rel=1e-12)
+    assert abs(complete_exp_sum([0, 1], 4001**3)) == pytest.approx(4001**1.5, rel=1e-12)
+    assert multipliers._prime_root(999983**500) == (999983, 500)  # 9,966 bits
+    assert multipliers._prime_powers(2**5 * 4001**7, "q") == [(2, 5), (4001, 7)]
+    # 4001^3 * 4003 (twin primes) is within 0.5 of 4001^4: a near power, refused
+    for q in (999983 * 999979, 999983**2 * 999979, 4001 * 999983**2, 4001**3 * 4003):
+        with pytest.raises(BudgetError, match="cofactor"):
+            complete_exp_sum([0, 1], q)
+
+
 def test_prime_multiplier_examples():
     assert multiplier_prime(phase(1, ())).value == pytest.approx(1)
     assert multiplier_prime(phase(4, (1,))).value == pytest.approx(0)

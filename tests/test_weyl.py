@@ -1,6 +1,8 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,10 +14,11 @@ from adicergo import weyl
 from adicergo.adic import embed, eval_poly
 from adicergo.basis import parse_basis
 from adicergo.characters import Character, char_value, reduce_phase
+from adicergo.ergodic import torus_average
 from adicergo.multipliers import BudgetError, multiplier_natural
 from adicergo.primes import primes_in_range
 from adicergo.weyl import (adic_weyl_sum, adic_weyl_sums, orbit_histogram,
-                           torus_weyl_sum, weyl_sum_from_histogram)
+                           phase_sums)
 
 DYADIC = parse_basis("const:2")
 CYCLE = parse_basis("cycle:2,3,5")
@@ -23,6 +26,10 @@ CYCLE = parse_basis("cycle:2,3,5")
 
 def square(basis, r):
     return [embed(c, basis, r) for c in (0, 0, 1)]
+
+
+def torus_sum(beta, n, source):
+    return phase_sums(beta, [n], source)[0]
 
 
 def e(num, den):
@@ -100,27 +107,21 @@ def test_natural_sum_exact_at_full_periods():
         assert abs(s - multiplier_natural(ph).value) < 1e-10
 
 
-def test_histogram_mismatch_rejected():
-    hist = orbit_histogram(DYADIC, 2, square(DYADIC, 2), 10, "primes")
-    with pytest.raises(ValueError, match="match"):
-        weyl_sum_from_histogram(Character(CYCLE, 2, 1), hist)
-
-
 def test_torus_integer_coefficients():
-    assert torus_weyl_sum([0.0, 2.0, 3.0], 200, "naturals") == pytest.approx(1)
-    assert torus_weyl_sum([0.5], 100, "primes") == pytest.approx(-1)
+    assert torus_sum([0.0, 2.0, 3.0], 200, "naturals") == pytest.approx(1)
+    assert torus_sum([0.5], 100, "primes") == pytest.approx(-1)
 
 
 def test_torus_sum_decays_for_quadratic_irrational():
     beta = [0.0, 0.0, math.sqrt(2)]
-    mags = [abs(torus_weyl_sum(beta, n, "primes")) for n in (10**3, 10**4, 10**5)]
+    mags = [abs(torus_sum(beta, n, "primes")) for n in (10**3, 10**4, 10**5)]
     assert mags[0] > mags[1] > mags[2]
     assert mags[2] < 0.05
 
 
 def test_torus_phases_are_exact_dyadics():
     # a pure dyadic coefficient gives an exactly periodic phase
-    s = torus_weyl_sum([0.0, Fraction(1, 4)], 8, "naturals")
+    s = torus_sum([0.0, Fraction(1, 4)], 8, "naturals")
     expected = sum(cmath.exp(2j * cmath.pi * (n / 4 % 1)) for n in range(1, 9)) / 8
     assert s == pytest.approx(expected, abs=1e-15)
 
@@ -129,7 +130,8 @@ def test_torus_phases_are_exact_dyadics():
                                  (12345, 900), (899, 900), (1800, 900)])
 def test_natural_class_counts_closed_form(n, a):
     expected = np.bincount(np.arange(1, n + 1) % a, minlength=a)
-    got = weyl._natural_class_counts(n, a)
+    got, total = weyl._class_counts("naturals", n, a)
+    assert total == n
     assert got.dtype == np.int64 and np.array_equal(got, expected)
 
 
@@ -204,10 +206,68 @@ def test_uint64_phases_match_bigint_loop(coeffs, points):
     [Fraction(0), Fraction(1e-30)],
     [Fraction(0), Fraction(5e-324)],
     [Fraction(1, 3), Fraction(123456789012345678, 3 * 2**58)],
+    [Fraction(2, 3), Fraction(-5, 3 * 2**51)],
 ])
 def test_phase_fallback_for_other_denominators(coeffs):
     # int64 (den 21, primes above it reduced first) and Python-int arithmetic,
-    # rounded once even where the numerator or the denominator passes 2^53
+    # rounded once: by numpy's division up to den 2^53 (3 * 2^51 here), by
+    # int / int past it, where the numerator or the denominator passes 2^53
     values = primes_in_range(2, 3000)
     got = weyl._torus_phases(coeffs, values)
     assert np.array_equal(got, exact_phases(coeffs, values))
+
+
+@st.composite
+def phase_cases(draw):
+    """A phase of degree 0-4 over a denominator 1..2^12 or 2^53, a source, and
+    a schedule with a repeated N, unsorted."""
+    den = draw(st.one_of(st.integers(1, 2**12), st.just(2**53)))
+    phi = [Fraction(draw(st.integers(-10 * den, 10 * den)), den)
+           for _ in range(draw(st.integers(1, 5)))]
+    schedule = draw(st.lists(st.integers(2, 600), min_size=1, max_size=4))
+    return phi, draw(st.sampled_from(["primes", "naturals"])), schedule + schedule[:1]
+
+
+def direct_phase_sums(phi, schedule, source):
+    """The oracle: e(phi(n)) from the exact Fraction phase mod 1, summed in
+    Python over the source up to each N."""
+    top = max(schedule)
+    points = primes_in_range(2, top).tolist() if source == "primes" else range(1, top + 1)
+    terms = [cmath.exp(2j * cmath.pi * float(sum(c * n**j for j, c in enumerate(phi)) % 1))
+             for n in points]
+    sums = []
+    for n in schedule:
+        count = sum(1 for p in points if p <= n)
+        sums.append(sum(terms[:count]) / count)
+    return sums
+
+
+@settings(max_examples=100, deadline=None)
+@given(phase_cases())
+def test_phase_sum_routes_agree(case):
+    phi, source, schedule = case
+    want = direct_phase_sums(phi, schedule, source)
+    with mock.patch.object(weyl, "MODULUS_CEILING", 0):  # every phi point by point
+        points = phase_sums(phi, schedule, source)
+    assert max(abs(p - w) for p, w in zip(points, want)) < 1e-12
+    if weyl._denominator(phi) <= 2**12:
+        classes = phase_sums(phi, schedule, source)
+        assert max(abs(c - w) for c, w in zip(classes, want)) < 1e-12
+        assert max(abs(c - p) for c, p in zip(classes, points)) < 1e-12
+    else:
+        assert phase_sums(phi, schedule, source) == points
+
+
+def test_rational_torus_sum_takes_the_class_route():
+    # phi = x/3 + x^2/7 has denominator 21: the closed-form class counts mod 21
+    # serve, where the points 1..10^6 would take an 8 MB int64 vector and more
+    beta = [Fraction(0), Fraction(1, 3), Fraction(1, 7)]
+    tracemalloc.start()
+    try:
+        got = torus_average({1: 1.0}, beta, 0.0, 10**6, "naturals")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    period = sum(e(7 * x + 3 * x * x, 21) for x in range(21))
+    assert abs(got - (47619 * period + e(10, 21)) / 10**6) < 1e-12  # 10^6 = 47619*21 + 1
