@@ -3,6 +3,7 @@ CSV/JSON artifacts, reproducible across runs."""
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import json
@@ -19,9 +20,8 @@ from .characters import parse_character, reduce_phase
 from .ergodic import (CylinderFunction, compare, cylinder_from_dict,
                       cylinder_to_dict, empirical_average, predicted_limit,
                       torus_averages)
-from .multipliers import (DEFAULT_MAX_MODULUS, MODULUS_CEILING, BudgetError,
-                          _check_bits, _check_budget, complete_exp_sum,
-                          multiplier_natural, multiplier_prime, wiener_energy)
+from .multipliers import (BudgetError, _check_bits, complete_exp_sum, multiplier_natural,
+                          multiplier_prime, wiener_energy)
 from .weyl import adic_weyl_sums
 
 
@@ -49,7 +49,6 @@ class ExperimentConfig:
     r_max: int | None = None
     function: str | None = None
     out: str | None = None
-    max_modulus: int = DEFAULT_MAX_MODULUS
 
     def to_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if v is not None}
@@ -89,8 +88,7 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge a config file (if given) with command-line flags; flags win.
     A config key the command does not read is refused, and the fields it does
     not read stay unset, so the config echo of a report can be fed back.
-    Then every field the command requires must be set, in table order, and
-    --max-modulus must be within its ceiling."""
+    Then every field the command requires must be set, in table order."""
     cfg = ExperimentConfig()
     _, required, optional = _COMMANDS[args.command]
     fields = (*required, *optional)
@@ -123,8 +121,6 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ValueError(f"{_REQUIRED_TEXT.get(key, _FLAGS[key][0])} is required")
     if cfg.n_schedule == []:
         raise ValueError("the N schedule is empty")
-    if cfg.max_modulus is not None:
-        _check_budget(cfg.max_modulus, MODULUS_CEILING, "--max-modulus")
     return cfg
 
 
@@ -236,7 +232,7 @@ def cmd_weyl(cfg: ExperimentConfig) -> int:
     chi = parse_character(cfg.char, basis)
     rho = cfg.parsed_rho(basis, chi.r)
     schedule = cfg.n_schedule or [10**4]
-    sums = adic_weyl_sums(chi, rho, schedule, cfg.source, cfg.max_modulus)
+    sums = adic_weyl_sums(chi, rho, schedule, cfg.source)
     for n, value in zip(schedule, sums):
         _print_complex(f"weyl sum N={n}", value)
     emit_report(cfg, _series_columns(schedule, sums),
@@ -267,7 +263,7 @@ def cmd_average(cfg: ExperimentConfig) -> int:
     if len(schedule) > 1:
         raise ValueError(f"average takes one N, not a schedule of {len(schedule)}")
     n = schedule[0]
-    avg = empirical_average(f, rho, n, cfg.source, cfg.max_modulus)
+    avg = empirical_average(f, rho, n, cfg.source)
     emit_report(cfg, _vector_columns(avg.values),
                 {"result": cylinder_to_dict(avg), "N": n, "source": cfg.source})
     print(f"averaged {f.modulus} residues at N={n} over {cfg.source}")
@@ -278,7 +274,7 @@ def cmd_limit(cfg: ExperimentConfig) -> int:
     f = _load_function(cfg)
     rho = cfg.parsed_rho(f.basis, f.r)
     _degree_notice(cfg, rho)
-    lim = predicted_limit(f, rho, cfg.kind, cfg.max_modulus)
+    lim = predicted_limit(f, rho, cfg.kind)
     emit_report(cfg, _vector_columns(lim.values),
                 {"result": cylinder_to_dict(lim), "kind": cfg.kind})
     print(f"predicted limit over {lim.modulus} residues ({cfg.kind} kind)")
@@ -290,7 +286,7 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     rho = cfg.parsed_rho(f.basis, f.r)
     _degree_notice(cfg, rho)
     schedule = cfg.n_schedule or [10**3, 10**4, 10**5]
-    report = compare(f, rho, schedule, cfg.kind, cfg.max_modulus)
+    report = compare(f, rho, schedule, cfg.kind)
     for n, s, l in zip(report.n_schedule, report.sup_distances, report.l2_distances):
         print(f"N={n}: sup {_fmt(s)}  l2 {_fmt(l)}")
     emit_report(cfg, {"N": report.n_schedule, "sup": report.sup_distances,
@@ -303,19 +299,26 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _finite(text: str, flag: str, sep: str = ",", kind: type = float) -> list:
+    values = [kind(v) for v in text.split(sep)]
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError(f"{flag} must be finite, not {text!r}")
+    return values
+
+
 def cmd_torus(cfg: ExperimentConfig) -> int:
-    beta = [[float(b) for b in comp.split(",")] for comp in cfg.beta.split(";")]
+    beta = [_finite(comp, "--beta") for comp in cfg.beta.split(";")]
     if len(beta) == 1:
         beta = beta[0]
     freqs = [tuple(int(m) for m in part.split(",")) for part in (cfg.freqs or "1").split(";")]
-    coeffs = [complex(part) for part in (cfg.coeffs or "1").split(";")]
+    coeffs = _finite(cfg.coeffs or "1", "--coeffs", ";", complex)
     if len(freqs) != len(coeffs):
         raise ValueError("--freqs and --coeffs must have the same length")
     trig = {}  # a repeated frequency adds its coefficients
     for f, c in zip(freqs, coeffs):
         key = f if len(f) > 1 else f[0]
         trig[key] = trig[key] + c if key in trig else c
-    xs = tuple(float(v) for v in cfg.x.split(","))
+    xs = tuple(_finite(cfg.x, "--x"))
     x = xs if len(xs) > 1 else xs[0]
     schedule = cfg.n_schedule or [10**4]
     averages = torus_averages(trig, beta, x, schedule, cfg.source)
@@ -328,7 +331,7 @@ def cmd_torus(cfg: ExperimentConfig) -> int:
 def cmd_wiener(cfg: ExperimentConfig) -> int:
     basis = parse_basis(cfg.basis)
     rho = cfg.parsed_rho(basis, cfg.r_max)
-    series = wiener_energy(basis, rho, cfg.r_max, cfg.kind, cfg.max_modulus)
+    series = wiener_energy(basis, rho, cfg.r_max, cfg.kind)
     levels = [r for r, _ in series]
     for r, w in series:
         print(f"r={r}  A_r={basis.modulus(r)}  W_r={_fmt(w)}")
@@ -358,7 +361,6 @@ _FLAGS = {
     "n_schedule": ("--N", {"type": _n_schedule, "help": "comma-separated N schedule"}),
     "source": ("--source", {"choices": _CHOICES["source"]}),
     "kind": ("--kind", {"choices": _CHOICES["kind"]}),
-    "max_modulus": ("--max-modulus", {"type": int}),
     "out": ("--out", {"help": "write <out>.csv and <out>.json"}),
 }
 
@@ -367,12 +369,12 @@ _FLAGS = {
 _COMMANDS = {
     "gauss": (cmd_gauss, ("q",), ("psi", "out")),
     "multiplier": (cmd_multiplier, ("basis", "char", "rho"), ("kind", "out")),
-    "weyl": (cmd_weyl, ("basis", "char", "rho"), ("n_schedule", "source", "max_modulus", "out")),
-    "average": (cmd_average, ("function", "rho"), ("n_schedule", "source", "max_modulus", "out")),
-    "limit": (cmd_limit, ("function", "rho"), ("kind", "max_modulus", "out")),
-    "compare": (cmd_compare, ("function", "rho"), ("n_schedule", "kind", "max_modulus", "out")),
+    "weyl": (cmd_weyl, ("basis", "char", "rho"), ("n_schedule", "source", "out")),
+    "average": (cmd_average, ("function", "rho"), ("n_schedule", "source", "out")),
+    "limit": (cmd_limit, ("function", "rho"), ("kind", "out")),
+    "compare": (cmd_compare, ("function", "rho"), ("n_schedule", "kind", "out")),
     "torus": (cmd_torus, ("beta",), ("freqs", "coeffs", "x", "n_schedule", "source", "out")),
-    "wiener": (cmd_wiener, ("basis", "r_max", "rho"), ("kind", "max_modulus", "out")),
+    "wiener": (cmd_wiener, ("basis", "r_max", "rho"), ("kind", "out")),
 }
 
 _REQUIRED_TEXT = {"function": "--function <file>"}  # the others read as their flag

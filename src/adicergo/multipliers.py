@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adic import AdicInt, poly_mod
-from .basis import Basis
+from .basis import _MODULUS_BITS_LIMIT, Basis, BudgetError, _check_budget
 from .characters import ReducedPhase, unit_phase
 
 # the largest prime factor of a phase or Gauss modulus, whose residues are
@@ -19,28 +19,10 @@ from .characters import ReducedPhase, unit_phase
 # to its root
 _VECTOR_MODULUS_LIMIT = 10_000_000
 _TRIAL_LIMIT = math.isqrt(_VECTOR_MODULUS_LIMIT)
-# the largest bit length of a phase, Gauss or character modulus: rho = n^2 over
-# all residues of const:2 goes 5,000 levels deep there, in about 0.25 s on a
-# 2-vCPU Xeon VM, and it still prints in decimal (Python stops at 4,300 digits)
-_MODULUS_BITS_LIMIT = 10_000
-
-DEFAULT_MAX_MODULUS = 1 << 20
-# the largest --max-modulus, and the vector budget of a phase sum's class
-# route: `weyl` at A = 2^22 peaks at 190 MB in 1 s, `wiener` to 2^22 at 174 MB
-# in 2.7 s, on a 2-vCPU Xeon VM
+# the largest modulus A of an orbit distribution, and the vector budget of a
+# phase sum's class route: `weyl` at A = 2^22 peaks at 190 MB in 1 s, `wiener`
+# to 2^22 at 174 MB in 2.7 s, on a 2-vCPU Xeon VM
 MODULUS_CEILING = 1 << 22
-
-
-class BudgetError(RuntimeError):
-    """A configured work budget would be exceeded."""
-
-
-def _check_budget(n: int, budget: int, what: str = "vector length"):
-    """Refuse a size past the budget; one past 2^64 is named by its bit
-    length, since its decimal digits can be too many to print."""
-    if n > budget:
-        size = f"of {n.bit_length()} bits" if n > 1 << 64 else n
-        raise BudgetError(f"{what} {size} exceeds budget {budget}")
 
 
 @dataclass(frozen=True)
@@ -63,14 +45,13 @@ class OrbitHistogram:
     total: int
 
 
-def _poly_table(basis: Basis, r: int, rho: list[AdicInt], max_modulus: int,
-                weights) -> np.ndarray:
+def _poly_table(basis: Basis, r: int, rho: list[AdicInt], weights) -> np.ndarray:
     """Class weights scattered through the table of rho mod A: out[c] is the
     exact int64 sum of weights(A)[t] over the residues t with rho(t) = c mod A.
     `weights` is called once A has met the budget; it gives the class counts
     of a sample, the units indicator, or 1 for every residue."""
     a = basis.modulus(r)
-    _check_budget(a, max_modulus, "modulus")
+    _check_budget(a, MODULUS_CEILING, "modulus")
     if not rho:
         raise ValueError("empty coefficient list")
     for c in rho:
@@ -84,8 +65,7 @@ def _poly_table(basis: Basis, r: int, rho: list[AdicInt], max_modulus: int,
     return counts
 
 
-def limit_distribution(basis: Basis, r: int, rho: list[AdicInt], kind: str,
-                       max_modulus: int = DEFAULT_MAX_MODULUS) -> OrbitHistogram:
+def limit_distribution(basis: Basis, r: int, rho: list[AdicInt], kind: str) -> OrbitHistogram:
     """The distribution w of rho(m) mod A, with m uniform over the units mod A
     (prime kind: the primes equidistribute over them) or over all residues
     (natural kind).
@@ -96,7 +76,7 @@ def limit_distribution(basis: Basis, r: int, rho: list[AdicInt], kind: str,
     if kind not in ("prime", "natural"):
         raise ValueError(f"unknown multiplier kind {kind!r}")
     units = kind == "prime"
-    counts = _poly_table(basis, r, rho, max_modulus,
+    counts = _poly_table(basis, r, rho,
                          lambda a: np.gcd(np.arange(a, dtype=np.int64), a) == 1 if units else 1)
     return OrbitHistogram(counts, int(counts.sum()))
 
@@ -248,8 +228,8 @@ def complete_exp_sum(psi_coeffs: list[int], q: int) -> complex:
     return _mean(psi_coeffs, q, False, "modulus") * q
 
 
-def wiener_energy(basis: Basis, rho: list[AdicInt], r_max: int, kind: str = "prime",
-                  budget: int = DEFAULT_MAX_MODULUS) -> list[tuple[int, float]]:
+def wiener_energy(basis: Basis, rho: list[AdicInt], r_max: int,
+                  kind: str = "prime") -> list[tuple[int, float]]:
     """Mean squared multiplier magnitude over the characters of each level.
 
     By Parseval the mean of |M(ell)|^2 over the A characters ell/A is the
@@ -257,9 +237,9 @@ def wiener_energy(basis: Basis, rho: list[AdicInt], r_max: int, kind: str = "pri
     ratio of integers that is rounded once.  Returns [(r, W_r), ...] for
     every level r <= r_max.
     """
-    _check_budget(basis.modulus(r_max), budget, "modulus")
+    _check_budget(basis.modulus(r_max), MODULUS_CEILING, "modulus")
     out = []
     for r in range(basis.offset, r_max + 1):
-        w = limit_distribution(basis, r, rho, kind, budget)
+        w = limit_distribution(basis, r, rho, kind)
         out.append((r, int(np.dot(w.counts, w.counts)) / w.total ** 2))
     return out

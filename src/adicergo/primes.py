@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 
-from .multipliers import BudgetError
+from .basis import _check_budget
 
 # odd numbers per segment: one flag each, so a segment spans 2 * _SEGMENT integers
 _SEGMENT = 1 << 20
@@ -28,17 +28,14 @@ def _odd_base_primes(limit: int) -> list[int]:
     return np.flatnonzero(flags)[1:].tolist()
 
 
-def primes_in_range(lo: int, hi: int, budget: int | None = None) -> np.ndarray:
+def primes_in_range(lo: int, hi: int) -> np.ndarray:
     """All primes in [lo, hi], ascending, as int64.  Segmented, exact.
 
     Only odd numbers carry a flag: flag i of a segment starting at the odd
     number s stands for s + 2i, so the odd multiples of a base prime p, 2p
     apart, are every p-th flag from the first one >= max(p*p, s).
     """
-    if budget is None:
-        budget = sieve_budget()
-    if hi > budget:
-        raise BudgetError(f"sieve bound {hi} exceeds budget {budget}")
+    _check_budget(hi, sieve_budget(), "sieve bound")
     lo = max(lo, 2)
     if hi < lo:
         return np.array([], dtype=np.int64)
@@ -61,5 +58,5 @@ def primes_in_range(lo: int, hi: int, budget: int | None = None) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def prime_count(n: int, budget: int | None = None) -> int:
-    return len(primes_in_range(2, n, budget))
+def prime_count(n: int) -> int:
+    return len(primes_in_range(2, n))

@@ -10,8 +10,7 @@ import numpy as np
 from .adic import AdicInt, poly_mod
 from .basis import Basis
 from .characters import Character, reduce_phase
-from .multipliers import (DEFAULT_MAX_MODULUS, MODULUS_CEILING, BudgetError,
-                          OrbitHistogram, _check_budget, _poly_table)
+from .multipliers import MODULUS_CEILING, OrbitHistogram, _check_budget, _poly_table
 from .primes import primes_in_range, sieve_budget
 
 def _check_bound(source: str, n: int):
@@ -33,9 +32,7 @@ def _source_values(source: str, n: int, values: np.ndarray | None = None) -> np.
         return values[:np.searchsorted(values, n, side="right")]
     if source == "primes":
         return primes_in_range(2, n)
-    budget = sieve_budget()
-    if n > budget:
-        raise BudgetError(f"source bound {n} exceeds budget {budget}")
+    _check_budget(n, sieve_budget(), "source bound")
     return np.arange(1, n + 1, dtype=np.int64)
 
 
@@ -64,13 +61,11 @@ def _class_counts(source: str, n: int, m: int,
 
 
 def orbit_histogram(basis: Basis, r: int, rho: list[AdicInt], n: int, source: str,
-                    max_modulus: int = DEFAULT_MAX_MODULUS,
                     values: np.ndarray | None = None) -> OrbitHistogram:
     """Exact bin counts of rho over the source up to N, reduced mod A: the
     class counts of the source mod A scattered through the O(A) polynomial
     table.  `values` may carry the primes sieved once for a whole schedule."""
-    counts = _poly_table(basis, r, rho, max_modulus,
-                         lambda a: _class_counts(source, n, a, values)[0])
+    counts = _poly_table(basis, r, rho, lambda a: _class_counts(source, n, a, values)[0])
     return OrbitHistogram(counts, int(counts.sum()))
 
 
@@ -120,17 +115,16 @@ def phase_sums(phi: list, n_schedule: list[int], source: str,
             for counts, total in (_class_counts(source, n, den, values) for n in n_schedule)]
 
 
-def adic_weyl_sums(chi: Character, rho: list[AdicInt], n_schedule: list[int], source: str,
-                   max_modulus: int = DEFAULT_MAX_MODULUS) -> list[complex]:
+def adic_weyl_sums(chi: Character, rho: list[AdicInt], n_schedule: list[int],
+                   source: str) -> list[complex]:
     """Normalized sums of chi(rho(p)) over primes (or naturals) up to each N:
     the phase sums of phi(x) = constant + sum_j c_j x^j / D from reduce_phase."""
-    _check_budget(chi.modulus, max_modulus, "modulus")
+    _check_budget(chi.modulus, MODULUS_CEILING, "modulus")
     phase = reduce_phase(chi, rho)
     phi = [phase.constant, *(Fraction(c, phase.modulus) for c in phase.coeffs)]
     return phase_sums(phi, n_schedule, source)
 
 
-def adic_weyl_sum(chi: Character, rho: list[AdicInt], n: int, source: str,
-                  max_modulus: int = DEFAULT_MAX_MODULUS) -> complex:
+def adic_weyl_sum(chi: Character, rho: list[AdicInt], n: int, source: str) -> complex:
     """Normalized sum of chi(rho(p)) over primes (or naturals) up to N."""
-    return adic_weyl_sums(chi, rho, [n], source, max_modulus)[0]
+    return adic_weyl_sums(chi, rho, [n], source)[0]

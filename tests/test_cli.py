@@ -187,7 +187,8 @@ def test_sizes_past_the_old_vector_limit(tmp_path, argv, exact, magnitude):
 
 
 def test_huge_level_computes_its_modulus_once(monkeypatch, capsys):
-    # 30^333333 takes a tenth of a second, and every read recomputed it
+    # 30^333333 takes a tenth of a second, and every read recomputed it; a
+    # level with more digits than the bit budget is now refused before it
     products = []
 
     def prod(values):
@@ -197,28 +198,50 @@ def test_huge_level_computes_its_modulus_once(monkeypatch, capsys):
     monkeypatch.setattr(basis_module, "math", types.SimpleNamespace(prod=prod))
     assert run(["multiplier", "--basis", "cycle:2,3,5", "--char", "1@level:1000000",
                 "--rho", "0,0,1"]) == 2
-    assert "of 1635632 bits" in assert_one_error_line(capsys)
-    assert products == [(2, 3, 5), (2, 3)]  # one closed form: 30^333333 * 6
+    assert "level 1000000 of 1000001 digits" in assert_one_error_line(capsys)
+    assert products == []
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["multiplier", "--basis", "const:2", "--char", "0@level:15000", "--rho", "0,0,1"],
-     "character modulus of 15002 bits exceeds budget 10000 bits"),
-    (["wiener", "--basis", "const:2", "--rho", "0,0,1", "--r-max", "80",
-      "--max-modulus", str(10**28)], "--max-modulus of 94 bits exceeds budget 4194304"),
-    (["weyl", "--basis", "const:2", "--char", "1/8", "--rho", "0,0,1",
-      "--max-modulus", str(2**22 + 1)], "--max-modulus 4194305 exceeds budget 4194304"),
+    (["multiplier", "--basis", "const:3", "--char", "0@level:9999", "--rho", "0,0,1"],
+     "character modulus of 15850 bits exceeds budget 10000 bits"),
+    (["wiener", "--basis", "const:2", "--rho", "0,0,1", "--r-max", "80"],
+     "modulus of 82 bits exceeds budget 4194304"),
+    (["weyl", "--basis", "const:2", "--char", "1@level:22", "--rho", "0,0,1"],
+     "modulus 8388608 exceeds budget 4194304"),
     (["gauss", "--q", "40000003"], "modulus cofactor 40000003 exceeds budget 10000000"),
 ], ids=["char-modulus", "max-modulus-huge", "max-modulus", "leaf"])
 def test_budgets_refuse_before_output(monkeypatch, capsys, argv, message):
-    # the character modulus 2^15001 was printed in decimal after the value, and
-    # --max-modulus had no ceiling; none of these allocates a vector
+    # a character modulus past the bit budget (3^10000, at a level within it)
+    # was printed in decimal after the value, and a modulus A past 2^22 is
+    # refused; none of these allocates a vector
     aranges = []
     arange = np.arange
     monkeypatch.setattr(np, "arange", lambda *a, **k: aranges.append(a) or arange(*a, **k))
     assert run(argv) == 2
     assert assert_one_error_line(capsys) == f"error: {message}\n"
     assert aranges == []
+
+
+def test_weyl_past_the_old_default_modulus(capsys):
+    # A = 2^21 needed a flag while the default modulus budget was 2^20
+    assert run(["weyl", "--basis", "const:2", "--char", "1@level:20", "--rho", "0,0,1",
+                "--N", "1000"]) == 0
+    assert capsys.readouterr().out.startswith("weyl sum N=1000: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--beta", "0,inf"],
+    ["--beta", "0,1e400"],
+    ["--beta", "0;0,nan"],
+    ["--beta", "0,0.5", "--x", "inf"],
+    ["--beta", "0,0.5", "--coeffs", "1;nan", "--freqs", "1;2"],
+], ids=["beta-inf", "beta-overflow", "beta-nan", "x-inf", "coeffs-nan"])
+def test_torus_refuses_non_finite_input(capsys, argv):
+    # an infinite beta ended in an OverflowError traceback, and an infinite x
+    # or coefficient printed nan - nani with exit 0
+    assert run(["torus", *argv, "--N", "100"]) == 1
+    assert "must be finite" in assert_one_error_line(capsys)
 
 
 def test_parser_built_once_per_process(monkeypatch, capsys):
@@ -526,7 +549,7 @@ def test_char_spellings_agree_past_level_63(capsys):
         rc = run(["multiplier", "--basis", "const:2", "--char", char, "--rho", "0,0,1"])
         results.append((rc, assert_one_error_line(capsys)))
     assert results[0] == results[1]
-    assert results[0][0] == 2 and "of 10002 bits" in results[0][1]
+    assert results[0][0] == 2 and "level 10000 of 10001 digits" in results[0][1]
     assert run(["multiplier", "--basis", "const:2", "--char", "1/3", "--rho", "0,0,1"]) == 1
     assert "3 is not a cumulative modulus" in assert_one_error_line(capsys)
 
@@ -544,7 +567,7 @@ def test_unread_flag_is_refused(capsys):
     (["gauss", "--q", "5"], {"r": 5}, "unknown config key 'r'"),
     (["gauss", "--q", "5"], {"n_schedule": [5]}, "config key 'n_schedule' is not read by gauss"),
     (["multiplier", "--basis", "const:2", "--char", "1/8", "--rho", "0,0,1"],
-     {"max_modulus": 64}, "config key 'max_modulus' is not read by multiplier"),
+     {"max_modulus": 64}, "unknown config key 'max_modulus'"),
     (["torus", "--beta", "0,0.5"], {"kind": "prime"}, "config key 'kind' is not read by torus"),
 ], ids=["r", "gauss-N", "multiplier-max-modulus", "torus-kind"])
 def test_unread_config_key_is_refused(tmp_path, capsys, command, doc, message):

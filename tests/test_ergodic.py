@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from adicergo.adic import embed, include_in_window
 from adicergo.basis import parse_basis
 from adicergo.characters import Character, char_value
+from adicergo import ergodic
 from adicergo.cli import _json_text
 from adicergo.ergodic import (CylinderFunction, Spectrum, compare,
                               cylinder_from_dict, cylinder_to_dict, dft,
@@ -81,14 +82,26 @@ def test_inversion_and_parseval():
         np.sum(np.abs(spec.coefficients) ** 2))
 
 
-def test_vector_budget():
+def test_vector_budget(monkeypatch):
     f = random_function(DYADIC, 4, seed=2)
+    monkeypatch.setattr(ergodic, "MODULUS_CEILING", 8)
     with pytest.raises(BudgetError):
-        dft(f, budget=8)
+        dft(f)
     with pytest.raises(ValueError, match="length"):
         CylinderFunction(DYADIC, 2, np.ones(5))
     with pytest.raises(ValueError, match="length"):
         Spectrum(DYADIC, 2, np.ones(5))
+
+
+def test_shift_budget_refuses_before_the_loop(monkeypatch):
+    # 8,341 occupied classes times A = 2^17 took 4 s, one shift at a time
+    f = CylinderFunction(DYADIC, 16, np.ones(2**17))
+    calls = []
+    multiply = np.multiply
+    monkeypatch.setattr(np, "multiply", lambda *a, **k: calls.append(a) or multiply(*a, **k))
+    with pytest.raises(BudgetError, match="work 1093271552 exceeds budget 268435456"):
+        empirical_average(f, square(DYADIC, 16), 10**5, "primes")
+    assert calls == []
 
 
 def test_average_of_constant():

@@ -269,9 +269,9 @@ def test_wiener_energy_series():
 
 
 def test_wiener_budget():
-    rho = [embed(c, DYADIC, 20) for c in (0, 0, 1)]
+    rho = [embed(c, DYADIC, 22) for c in (0, 0, 1)]
     with pytest.raises(BudgetError):
-        wiener_energy(DYADIC, rho, 20, budget=2**10)
+        wiener_energy(DYADIC, rho, 22)  # A = 2^23
     with pytest.raises(ValueError, match="kind"):
         wiener_energy(DYADIC, rho, 2, kind="bogus")
 

@@ -58,9 +58,10 @@ def test_ascending_and_range_respected():
     assert len(primes_in_range(20, 10)) == 0
 
 
-def test_budget_enforced():
+def test_budget_enforced(monkeypatch):
+    monkeypatch.setenv("ADICERGO_MAX_N", str(10**6))
     with pytest.raises(BudgetError):
-        primes_in_range(2, 10**7, budget=10**6)
+        primes_in_range(2, 10**7)
 
 
 def test_env_budget(monkeypatch):

@@ -61,7 +61,7 @@ def test_histogram_totals():
 
 def test_histogram_budget_and_errors():
     with pytest.raises(BudgetError):
-        orbit_histogram(DYADIC, 25, square(DYADIC, 25), 10, "primes", max_modulus=2**10)
+        orbit_histogram(DYADIC, 25, square(DYADIC, 25), 10, "primes")
     with pytest.raises(ValueError, match="source"):
         orbit_histogram(DYADIC, 2, square(DYADIC, 2), 10, "everything")
     with pytest.raises(ValueError, match="no primes"):
