@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .adic import AdicInt, poly_mod
-from .basis import Basis
+from .basis import _MODULUS_BITS_LIMIT, Basis
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,8 @@ def char_value(chi: Character, residue: int) -> complex:
 def parse_character(text: str, basis: Basis) -> Character:
     """Parse ``<ell>/<A>`` (A must be a cumulative modulus) or
     ``<ell>@level:<r>``.  The moduli at least double from level to level, so
-    the search for A takes at most log2(A) levels."""
+    A is found by bisection over the levels up to offset + log2(A), and no
+    further than the first level past the bit budget."""
     text = text.strip()
     if "@" in text:
         head, _, tail = text.partition("@")
@@ -61,13 +62,20 @@ def parse_character(text: str, basis: Basis) -> Character:
     if "/" in text:
         head, _, tail = text.partition("/")
         ell, a = int(head), int(tail)
-        last = basis.offset + len(basis.params) - 1 if basis.kind == "list" else math.inf
-        r = basis.offset
-        while r < last and basis.modulus(r) < a:
-            r += 1
-        if basis.modulus(r) == a:
-            return Character(basis, r, ell)
-        raise ValueError(f"{a} is not a cumulative modulus of basis {basis.spec_string()}")
+        lo = basis.offset
+        hi = lo + min(a.bit_length(), _MODULUS_BITS_LIMIT)
+        if basis.kind == "list":
+            hi = min(hi, lo + len(basis.params) - 1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if basis.modulus(mid) < a:
+                lo = mid + 1
+            else:
+                hi = mid
+        if basis.modulus(lo) == a:
+            return Character(basis, lo, ell)
+        name = a if a <= 1 << 64 else f"A of {a.bit_length()} bits"
+        raise ValueError(f"{name} is not a cumulative modulus of basis {basis.spec_string()}")
     raise ValueError(f"bad character spec {text!r}")
 
 

@@ -6,6 +6,7 @@ import argparse
 import cmath
 import csv
 import functools
+import itertools
 import json
 import sys
 import types
@@ -137,16 +138,30 @@ def emit_report(cfg: ExperimentConfig, columns: dict, summary: dict):
         return
     text = _json_text({"config": cfg.to_dict(), **summary})  # first: a refusal writes no file
     with open(cfg.out + ".csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(columns))
-        writer.writerows(zip(*map(_csv_cells, columns.values())))
+        csv.writer(fh).writerow(list(columns))
+        fh.write(_csv_rows(list(columns.values())))
     with open(cfg.out + ".json", "w") as fh:
         fh.write(text + "\n")
 
 
-def _csv_cells(column) -> list:
-    values = column.tolist() if isinstance(column, np.ndarray) else column
-    return [_fmt(v) if isinstance(v, float) else v for v in values]
+def _csv_rows(columns: list) -> str:
+    """The data rows as csv.writer writes them, in one % step: a column of
+    floats through %.17g, a column of ints (a range or an int ndarray too)
+    through %d, and the cells of any other column as csv.writer quotes them."""
+    specs, cells = [], []
+    for column in columns:
+        values = column.tolist() if isinstance(column, np.ndarray) else column
+        kinds = set(map(type, values))
+        spec = "%d" if kinds <= {int} else "%.17g" if kinds <= {float, np.float64} else "%s"
+        if spec == "%s":  # csv.writer quotes an empty cell alone in its row
+            pad, lines = [None] * (len(columns) > 1), []
+            csv.writer(types.SimpleNamespace(write=lines.append)).writerows(
+                [v, *pad] for v in values)
+            values = [line[:-len(pad) - 2] for line in lines]
+        specs.append(spec)
+        cells.append(values)
+    flat = tuple(itertools.chain.from_iterable(zip(*cells)))
+    return (",".join(specs) + "\r\n") * (len(flat) // max(len(cells), 1)) % flat
 
 
 _VECTOR = "\0"  # stands for a complex vector in the text json.dumps writes
@@ -184,10 +199,10 @@ def _vector_json(vec: np.ndarray, indent: int) -> str:
         return "[]"
     outer = "\n" + " " * (indent + 2)
     inner = "\n" + " " * (indent + 4)
-    pair = f"[{inner}%s,{inner}%s{outer}]"
+    pair = f"[{inner}%r,{inner}%r{outer}]"
     template = f"[{outer}" + f",{outer}".join([pair] * len(vec)) + "\n" + " " * indent + "]"
     floats = np.column_stack((vec.real, vec.imag)).ravel().tolist()
-    text = template % tuple(map(float.__repr__, floats))
+    text = template % tuple(floats)
     return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 

@@ -206,6 +206,14 @@ def cylinder_to_dict(f: CylinderFunction) -> dict:
 
 
 def cylinder_from_dict(doc: dict) -> CylinderFunction:
+    """The inverse of cylinder_to_dict: the values as one (n, 2) array of
+    numbers, not strings, viewed as complex."""
     basis = parse_basis(doc["basis"])
-    values = np.array([complex(re, im) for re, im in doc["values"]])
+    try:
+        pairs = np.array(doc["values"])
+    except ValueError:  # a ragged list
+        pairs = np.array(None)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "biuf":
+        raise ValueError("function values must be a list of [re, im] number pairs")
+    values = pairs.astype(np.float64).view(np.complex128)[:, 0]
     return CylinderFunction(basis, int(doc["r"]), values)

@@ -152,9 +152,13 @@ def _prime_power_mean(coeffs: list[int], p: int, e: int, units: bool) -> complex
     polynomial mod p^(e-1); only at e = 1 are the p residues summed.  Each
     node holds its modulus p^e, the phase and the class count of its path,
     on a stack: a path can be e/2 nodes long.
+
+    Where psi = lin*x + quad*x^2 + ... is at most quadratic mod an odd p, no
+    vector is built: the one critical class is the root -lin/(2*quad) of psi'
+    (none when quad = 0 mod p), and a leaf is `_quadratic_sum`.  Otherwise
+    psi' and the leaf sum are evaluated on the vector of the p residues.
     """
     total = 0j
-    every = np.arange(p, dtype=np.int64)
     stack = [(coeffs, p ** e, 1 + 0j, 1, units)]
     while stack:
         coeffs, q, phase, count, units = stack.pop()
@@ -165,13 +169,22 @@ def _prime_power_mean(coeffs: list[int], p: int, e: int, units: bool) -> complex
         while not any(c % p for c in coeffs):  # divide out the content
             coeffs = [c // p for c in coeffs]
             q //= p
-        residues = every[1:] if units else every
-        count *= len(residues)
-        if q == p:
-            total += phase * _exp_sum(coeffs, p, residues) * (1 / count)
-            continue
-        slopes = [(j + 1) * c for j, c in enumerate(coeffs)]  # psi'
-        for b in residues[poly_mod(slopes, p, residues) == 0].tolist():
+        count *= p - 1 if units else p
+        if _quadratic(coeffs, p):
+            lin, quad = (*coeffs, 0)[:2]  # psi = lin*x + quad*x^2 mod p
+            if q == p:
+                total += phase * _quadratic_sum(lin, quad, p, units) * (1 / count)
+                continue
+            critical = [-lin * pow(2 * quad, -1, p) % p] if quad % p else []
+            critical = [x for x in critical if x or not units]  # 0 is not a unit
+        else:
+            residues = np.arange(1 if units else 0, p, dtype=np.int64)
+            if q == p:
+                total += phase * _exp_sum(coeffs, p, residues) * (1 / count)
+                continue
+            slopes = [(j + 1) * c for j, c in enumerate(coeffs)]  # psi'
+            critical = residues[poly_mod(slopes, p, residues) == 0].tolist()
+        for b in critical:
             t = [0, *coeffs]  # Taylor shift: psi(b + y) = sum_k t[k] y^k
             for i in range(len(coeffs) if b else 0):
                 for j in range(len(coeffs) - 1, i - 1, -1):
@@ -179,6 +192,26 @@ def _prime_power_mean(coeffs: list[int], p: int, e: int, units: bool) -> complex
             g = [t_k * p ** k for k, t_k in enumerate(t[1:])]  # (psi(b+pz) - psi(b))/p
             stack.append((g, q // p, phase * unit_phase(t[0], q), count, False))
     return total
+
+
+def _quadratic(coeffs: list[int], p: int) -> bool:
+    """Whether psi is at most quadratic mod p, for an odd p: the route on
+    which a node builds no vector."""
+    return p > 2 and not any(c % p for c in coeffs[2:])
+
+
+def _quadratic_sum(b: int, a: int, p: int, units: bool) -> complex:
+    """Sum of e((b*x + a*x^2)/p) over the units mod an odd prime p (units) or
+    all residues, in closed form (Berndt-Evans-Williams 1998, ch. 1): with the
+    square completed, e(-b^2 (4a)^-1 / p) times the Gauss sum (a/p) eps_p
+    sqrt(p), with Euler's criterion for (a/p) and eps_p = 1 or i as p = 1 or
+    3 mod 4; 0 for a linear phase, and 1 less over the units (no x = 0)."""
+    value = 0j
+    if a % p:
+        root = math.sqrt(p) if pow(a, (p - 1) // 2, p) == 1 else -math.sqrt(p)
+        gauss = root if p % 4 == 1 else complex(0, root)
+        value = gauss * unit_phase(-b * b * pow(4 * a, -1, p), p)
+    return value - 1 if units else value
 
 
 def _mean(coeffs, modulus: int, units: bool, what: str) -> complex:

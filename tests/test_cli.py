@@ -15,7 +15,7 @@ from adicergo import basis as basis_module
 from adicergo import cli, weyl
 from adicergo.adic import embed
 from adicergo.basis import parse_basis
-from adicergo.characters import Character
+from adicergo.characters import Character, parse_character
 from adicergo.cli import main
 from adicergo.ergodic import CylinderFunction, compare, torus_average
 from adicergo.weyl import adic_weyl_sum
@@ -552,6 +552,30 @@ def test_char_spellings_agree_past_level_63(capsys):
     assert results[0][0] == 2 and "level 10000 of 10001 digits" in results[0][1]
     assert run(["multiplier", "--basis", "const:2", "--char", "1/3", "--rho", "0,0,1"]) == 1
     assert "3 is not a cumulative modulus" in assert_one_error_line(capsys)
+
+
+def test_char_modulus_found_by_bisection(monkeypatch, capsys):
+    # <ell>/<A> walked every level up to A (9,990 for 3*2^9990, about a
+    # second) and then wrote the refused A out in 3,008 digits
+    levels = []
+    modulus = basis_module.Basis.modulus
+
+    def counted(self, r):
+        levels.append(r)
+        return modulus(self, r)
+
+    monkeypatch.setattr(basis_module.Basis, "modulus", counted)
+    assert parse_character(f"1/{2**9000}", parse_basis("const:2")).r == 8999
+    assert parse_character("7/30", parse_basis("cycle:2,3,5@offset:-1")).r == 1
+    assert len(set(levels)) < 20
+    levels.clear()
+    rc = run(["multiplier", "--basis", "const:2", "--char", f"1/{3 * 2**9990}", "--rho", "0,0,1"])
+    err = assert_one_error_line(capsys)
+    assert rc == 1 and len(err) < 200
+    assert "A of 9992 bits is not a cumulative modulus of basis const:2" in err
+    assert len(set(levels)) < 20
+    with pytest.raises(ValueError, match="^84 is not a cumulative modulus"):
+        parse_character("1/84", parse_basis("list:2,3,7"))
 
 
 def test_unread_flag_is_refused(capsys):

@@ -3,13 +3,14 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adicergo import characters, ergodic, multipliers, weyl
+from adicergo import characters, cli, ergodic, multipliers, weyl
 from adicergo.adic import embed, poly_mod
 from adicergo.basis import parse_basis
 from adicergo.characters import Character, ReducedPhase, reduce_phase
@@ -141,7 +142,7 @@ def test_work_follows_the_prime_factors(monkeypatch, d, largest):
         for mult in (multiplier_prime, multiplier_natural):
             sizes.clear()
             mult(phase(d, coeffs))
-            assert max(sizes) <= largest and len(sizes) <= d.bit_length()
+            assert max(sizes, default=0) <= largest and len(sizes) <= d.bit_length()
 
 
 def test_budget_is_the_largest_prime_factor():
@@ -165,6 +166,80 @@ def test_power_of_a_prime_past_the_trial_limit():
     for q in (999983 * 999979, 999983**2 * 999979, 4001 * 999983**2, 4001**3 * 4003):
         with pytest.raises(BudgetError, match="cofactor"):
             complete_exp_sum([0, 1], q)
+
+
+ODD_PRIMES = [p for p in range(3, 10_000, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
+
+
+@st.composite
+def quadratic_cases(draw):
+    """(p, e, psi) with p an odd prime, p^e <= 2^20 (e = 1 up to p near 10^4)
+    and psi = b*x + a*x^2 + p*(terms of degree 3 and 4): at most quadratic mod
+    p.  a = 0 and b = 0 mod p (the root 0) are drawn often."""
+    p = draw(st.sampled_from(ODD_PRIMES))
+    e = draw(st.integers(1, max(1, int(20 / math.log2(p)))))
+    q = p ** e
+
+    def coefficient():
+        return draw(st.one_of(st.integers(0, q - 1), st.integers(0, q // p - 1).map(p.__mul__)))
+
+    high = [p * c for c in draw(st.lists(st.integers(0, q), max_size=2))]
+    return p, e, [coefficient(), coefficient(), *high]
+
+
+@settings(max_examples=300, deadline=None)
+@given(quadratic_cases(), st.booleans())
+def test_quadratic_nodes_match_the_vector_path(case, units):
+    # the closed-form nodes (one critical class, Gauss sums at the leaves)
+    # against the same stationary phase with every node on the vector path
+    p, e, psi = case
+    count = (p - 1) * p ** (e - 1) if units else p ** e
+    got = multipliers._prime_power_mean(psi, p, e, units) * count
+    with mock.patch.object(multipliers, "_quadratic", lambda coeffs, p: False):
+        want = multipliers._prime_power_mean(psi, p, e, units) * count
+    assert abs(got - want) <= 1e-12 * math.sqrt(p ** e)
+
+
+@pytest.mark.parametrize("q, psi, legendre", [(999983, [0, 1], 1), (999983, [3, 999982], -1),
+                                              (9999991, [0, 7], -1), (9999991, [5, 2], 1)])
+def test_gauss_sums_against_mpmath(q, psi, legendre):
+    # both primes are 7 mod 8, so eps_q = i, (-1/q) = -1 and (2/q) = 1, and by
+    # reciprocity (7/9999991) = -(9999991/7) = -(1/7) = -1; then
+    # sum e((b x + a x^2)/q) = (a/q) i sqrt(q) e(-b^2 (4a)^-1 / q)
+    mpmath = pytest.importorskip("mpmath")
+    b, a = psi
+    with mpmath.workdps(30):
+        turn = mpmath.mpf(-b * b * pow(4 * a, -1, q) % q) / q
+        exact = legendre * 1j * mpmath.sqrt(q) * mpmath.expjpi(2 * turn)
+        assert abs(complete_exp_sum(psi, q) - exact) <= 1e-14 * math.sqrt(q)
+
+
+def test_quadratic_phases_build_no_vector(monkeypatch, capsys):
+    # gauss and multiplier at the prime 999,983, its square and 3 times it
+    sizes = []
+
+    def counted(f):
+        def wrapper(*args, **kwargs):
+            out = f(*args, **kwargs)
+            sizes.append(len(out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(multipliers, "poly_mod", counted(poly_mod))
+    monkeypatch.setattr(np, "arange", counted(np.arange))
+    for q in (999983, 999983**2, 3 * 999983):
+        for psi in ([0, 1], [1, 1], [4, 0, 3 * 999983]):
+            complete_exp_sum(psi, q)
+            for mult in (multiplier_prime, multiplier_natural):
+                mult(phase(q, psi))
+    for basis, char in (("const:999983", "1/999983"), ("const:999983", "5@level:1"),
+                        ("cycle:3,999983", "2@level:1")):
+        for kind in KINDS:
+            assert cli.main(["multiplier", "--basis", basis, "--char", char,
+                             "--rho", "0,1,3", "--kind", kind]) == 0
+    assert cli.main(["gauss", "--q", "999983"]) == 0
+    assert "999.99149996387462i" in capsys.readouterr().out
+    assert max(sizes, default=0) <= 2
 
 
 def test_prime_multiplier_examples():

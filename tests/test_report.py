@@ -131,3 +131,34 @@ def test_vector_commands_match_reference(tmp_path, command):
                      {"result": function_doc(basis, 2, result.values), **extra},
                      ["c", "re", "im"])
     assert read_both(out) == read_both(str(tmp_path / "ref"))
+
+
+@pytest.mark.parametrize("columns", [
+    {"n": np.arange(4), "u": np.arange(4, dtype=np.uint64), "s": ["a,b", 'x"y', "", "plain"],
+     "f": [0.1, math.nan, -0.0, 1e308], "g": np.array(SPECIAL[:4], np.float32),
+     "mix": [1, "a", None, True], "z": np.array([1j, -0.0, 2, math.inf])},
+    {"s": ["", "a,b", None, 'x"y']},
+    {"b": [True, 2], "n": [2**70, -3]},
+], ids=["mixed", "alone", "bool-and-big"])
+def test_mixed_columns_match_reference(tmp_path, columns):
+    # int ndarrays go through %d, and a str column that needs quoting (a comma,
+    # a quote, an empty cell alone in its row) through csv.writer
+    cfg = ExperimentConfig(out=str(tmp_path / "new"))
+    emit_report(cfg, columns, {})
+    rows = [dict(zip(columns, row)) for row in zip(*(
+        c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))]
+    reference_report(str(tmp_path / "ref"), cfg, rows, {}, list(columns))
+    assert read_both(cfg.out) == read_both(str(tmp_path / "ref"))
+
+
+@pytest.mark.parametrize("values", [[[1.0, 2.0], [3.0]], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+                                    [["1", 2], [3, 4]], [[None, 1], [2, 3]], [1.0, 2.0],
+                                    "12", [[[1.0, 2.0]], [[3.0, 4.0]]]],
+                         ids=["ragged", "triple", "string", "null", "flat", "str", "deep"])
+def test_malformed_function_file_is_refused(tmp_path, capsys, values):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"basis": "const:2", "r": 0, "values": values}))
+    assert main(["average", "--function", str(path), "--rho", "0,1", "--N", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
