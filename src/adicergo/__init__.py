@@ -7,10 +7,9 @@ from .adic import (AdicInt, Digits, add_carry, add_mod, embed, eval_poly,
 from .basis import Basis, parse_basis
 from .characters import (Character, ReducedPhase, char_value, parse_character,
                          reduce_phase, unit_phase)
-from .ergodic import (ComparisonReport, CylinderFunction, Spectrum, compare,
-                      cylinder_from_dict, cylinder_to_dict, dft,
-                      empirical_average, idft, predicted_limit, torus_average,
-                      torus_averages, translate)
+from .ergodic import (CylinderFunction, Spectrum, compare, cylinder_from_dict,
+                      cylinder_to_dict, dft, empirical_average, idft,
+                      predicted_limit, torus_average, torus_averages, translate)
 from .multipliers import (BudgetError, MultiplierValue, complete_exp_sum,
                           limit_distribution, multiplier_natural,
                           multiplier_prime, wiener_energy)

@@ -10,8 +10,6 @@ import itertools
 import json
 import sys
 import types
-import typing
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,51 +28,58 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated inputs for one run; a config-file key that is unknown, or
-    not read by the command, is rejected so typos fail loudly."""
-
-    basis: str | None = None
-    rho: str | None = None
-    char: str | None = None
-    n_schedule: list[int] | None = None
-    source: str = "primes"
-    kind: str = "prime"
-    q: int | None = None
-    psi: str | None = None
-    beta: str | None = None
-    freqs: str | None = None
-    coeffs: str | None = None
-    x: str = "0"
-    r_max: int | None = None
-    function: str | None = None
-    out: str | None = None
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
-
-    def parsed_rho(self, basis: Basis, r: int) -> list[AdicInt]:
-        try:
-            ints = [int(c) for c in self.rho.split(",")]
-        except ValueError:
-            raise ValueError(f"bad rho coefficients {self.rho!r}") from None
-        return [embed(c, basis, r) for c in ints]
+def _n_schedule(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip()]
 
 
-_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
-_CHOICES = {"source": ("primes", "naturals"), "kind": ("prime", "natural")}
+# field -> (its flag, its default, the flag's argparse options), in the order
+# of a report's config echo.  A config-file value must have the flag's type:
+# an int (not a bool) for type=int, a list of ints for --N, a string otherwise;
+# null only where the default is None; and one of the flag's choices.
+_FIELDS = {
+    "basis": ("--basis", None, {"help": "const:<c> | cycle:<c0>,... | list:<c0>,... [@offset:<k>]"}),
+    "rho": ("--rho", None, {"help": "comma-separated integer coefficients, constant first"}),
+    "char": ("--char", None, {"help": "<ell>/<A> or <ell>@level:<r>"}),
+    "n_schedule": ("--N", None, {"type": _n_schedule, "help": "comma-separated N schedule"}),
+    "source": ("--source", "primes", {"choices": ("primes", "naturals")}),
+    "kind": ("--kind", "prime", {"choices": ("prime", "natural")}),
+    "q": ("--q", None, {"type": int}),
+    "psi": ("--psi", None, {"help": "coefficients a1,a2,... of a1*x + a2*x^2 + ..."}),
+    "beta": ("--beta", None, {"help": "orbit coefficients, ';' between torus components"}),
+    "freqs": ("--freqs", None, {"help": "frequencies, ';' separated, ',' within a tuple"}),
+    "coeffs": ("--coeffs", None, {"help": "complex coefficients, ';' separated"}),
+    "x": ("--x", "0", {"help": "starting point"}),
+    "r_max": ("--r-max", None, {"type": int}),
+    "function": ("--function", None, {"help": "cylinder function JSON file"}),
+    "out": ("--out", None, {"help": "write <out>.csv and <out>.json"}),
+}
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value has an annotated config type: str, int (not
-    bool), list[int], or a union of them with None."""
-    if typing.get_origin(hint) is types.UnionType:
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is list:
-        (item,) = typing.get_args(hint)
-        return isinstance(value, list) and all(_fits(v, item) for v in value)
-    return type(value) is hint
+def _check_value(key: str, value):
+    """Refuse a config-file value that its flag could not have given."""
+    _, default, options = _FIELDS[key]
+    kind = options.get("type", str)
+    if value is None:
+        fits = default is None
+    elif kind is _n_schedule:
+        fits = type(value) is list and all(type(v) is int for v in value)
+    else:
+        fits = type(value) is kind
+    if not fits:
+        name = "list[int]" if kind is _n_schedule else kind.__name__
+        raise ValueError(f"config key {key!r} must be {name}{' | None' * (default is None)},"
+                         f" not {value!r}")
+    if "choices" in options and value not in options["choices"]:
+        raise ValueError(f"config key {key!r} must be one of"
+                         f" {', '.join(options['choices'])}, not {value!r}")
+
+
+def _parsed_rho(cfg: argparse.Namespace, basis: Basis, r: int) -> list[AdicInt]:
+    try:
+        ints = [int(c) for c in cfg.rho.split(",")]
+    except ValueError:
+        raise ValueError(f"bad rho coefficients {cfg.rho!r}") from None
+    return [embed(c, basis, r) for c in ints]
 
 
 def _read_json(path: str):
@@ -85,47 +90,43 @@ def _read_json(path: str):
             raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
-def parse_config(args: argparse.Namespace) -> ExperimentConfig:
+def parse_config(args: argparse.Namespace) -> argparse.Namespace:
     """Merge a config file (if given) with command-line flags; flags win.
-    A config key the command does not read is refused, and the fields it does
-    not read stay unset, so the config echo of a report can be fed back.
-    Then every field the command requires must be set, in table order."""
-    cfg = ExperimentConfig()
+    The result holds every field of `_FIELDS`, in its order.  A config key
+    that is unknown, or not read by the command, is refused so typos fail
+    loudly, and the fields the command does not read are None, so the config
+    echo of a report can be fed back.  Then every field the command requires
+    must be set, in table order."""
     _, required, optional = _COMMANDS[args.command]
     fields = (*required, *optional)
-    if getattr(args, "config", None):
+    doc = {}
+    if args.config:
         doc = _read_json(args.config)
         if isinstance(doc, dict):
             doc = doc.get("config", doc)
         if not isinstance(doc, dict):
             raise ValueError(f"config file {args.config} is not a JSON object")
         for key, value in doc.items():
-            if not hasattr(cfg, key):
+            if key not in _FIELDS:
                 raise ValueError(f"unknown config key {key!r}")
             if key not in fields:
                 raise ValueError(f"config key {key!r} is not read by {args.command}")
-            hint = _FIELD_TYPES[key]
-            if not _fits(value, hint):
-                raise ValueError(f"config key {key!r} must be {getattr(hint, '__name__', hint)},"
-                                 f" not {value!r}")
-            if key in _CHOICES and value not in _CHOICES[key]:
-                raise ValueError(f"config key {key!r} must be one of"
-                                 f" {', '.join(_CHOICES[key])}, not {value!r}")
-            setattr(cfg, key, value)
-    for key in vars(cfg):
-        if key not in fields:
-            setattr(cfg, key, None)
-        elif getattr(args, key, None) is not None:
-            setattr(cfg, key, getattr(args, key))
+            _check_value(key, value)
+    cfg = argparse.Namespace()
+    for key, (_, default, _) in _FIELDS.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = doc.get(key, default)
+        setattr(cfg, key, value if key in fields else None)
     for key in required:
         if getattr(cfg, key) is None:
-            raise ValueError(f"{_REQUIRED_TEXT.get(key, _FLAGS[key][0])} is required")
+            raise ValueError(f"{_REQUIRED_TEXT.get(key, _FIELDS[key][0])} is required")
     if cfg.n_schedule == []:
         raise ValueError("the N schedule is empty")
     return cfg
 
 
-def emit_report(cfg: ExperimentConfig, columns: dict, summary: dict):
+def emit_report(cfg: argparse.Namespace, columns: dict, summary: dict):
     """Write <out>.csv (one column per key of `columns`, a name mapped to a
     sequence) and <out>.json (config echo plus summary).
 
@@ -136,7 +137,8 @@ def emit_report(cfg: ExperimentConfig, columns: dict, summary: dict):
     """
     if cfg.out is None:
         return
-    text = _json_text({"config": cfg.to_dict(), **summary})  # first: a refusal writes no file
+    echo = {k: v for k, v in vars(cfg).items() if v is not None}
+    text = _json_text({"config": echo, **summary})  # first: a refusal writes no file
     with open(cfg.out + ".csv", "w", newline="") as fh:
         csv.writer(fh).writerow(list(columns))
         fh.write(_csv_rows(list(columns.values())))
@@ -211,14 +213,14 @@ def _print_complex(label: str, z: complex):
           f"  (abs {_fmt(abs(z))})")
 
 
-def _degree_notice(cfg: ExperimentConfig, rho: list[AdicInt]):
+def _degree_notice(cfg: argparse.Namespace, rho: list[AdicInt]):
     degree = max((j for j, c in enumerate(rho) if c.v != 0), default=0)
     if cfg.kind == "prime" and degree < 2:
         print("notice: polynomial degree < 2; prime-limit theory assumes degree >= 2,"
               " the reported value is still the character-sum limit", file=sys.stderr)
 
 
-def cmd_gauss(cfg: ExperimentConfig) -> int:
+def cmd_gauss(cfg: argparse.Namespace) -> int:
     psi = [int(c) for c in (cfg.psi or "0,1").split(",")]
     value = complete_exp_sum(psi, cfg.q)
     _print_complex("complete exponential sum", value)
@@ -227,11 +229,11 @@ def cmd_gauss(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_multiplier(cfg: ExperimentConfig) -> int:
+def cmd_multiplier(cfg: argparse.Namespace) -> int:
     basis = parse_basis(cfg.basis)
     chi = parse_character(cfg.char, basis)
     _check_bits(chi.modulus, "character modulus")  # the report writes it in decimal
-    rho = cfg.parsed_rho(basis, chi.r)
+    rho = _parsed_rho(cfg, basis, chi.r)
     _degree_notice(cfg, rho)
     phase = reduce_phase(chi, rho)
     mult = multiplier_prime(phase) if cfg.kind == "prime" else multiplier_natural(phase)
@@ -242,10 +244,10 @@ def cmd_multiplier(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_weyl(cfg: ExperimentConfig) -> int:
+def cmd_weyl(cfg: argparse.Namespace) -> int:
     basis = parse_basis(cfg.basis)
     chi = parse_character(cfg.char, basis)
-    rho = cfg.parsed_rho(basis, chi.r)
+    rho = _parsed_rho(cfg, basis, chi.r)
     schedule = cfg.n_schedule or [10**4]
     sums = adic_weyl_sums(chi, rho, schedule, cfg.source)
     for n, value in zip(schedule, sums):
@@ -264,16 +266,16 @@ def _vector_columns(values: np.ndarray) -> dict:
     return {"c": range(len(values)), "re": values.real, "im": values.imag}
 
 
-def _load_function(cfg: ExperimentConfig) -> CylinderFunction:
+def _load_function(cfg: argparse.Namespace) -> CylinderFunction:
     try:
         return cylinder_from_dict(_read_json(cfg.function))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad function file {cfg.function}: {exc!r}") from None
 
 
-def cmd_average(cfg: ExperimentConfig) -> int:
+def cmd_average(cfg: argparse.Namespace) -> int:
     f = _load_function(cfg)
-    rho = cfg.parsed_rho(f.basis, f.r)
+    rho = _parsed_rho(cfg, f.basis, f.r)
     schedule = cfg.n_schedule or [10**4]
     if len(schedule) > 1:
         raise ValueError(f"average takes one N, not a schedule of {len(schedule)}")
@@ -285,9 +287,9 @@ def cmd_average(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_limit(cfg: ExperimentConfig) -> int:
+def cmd_limit(cfg: argparse.Namespace) -> int:
     f = _load_function(cfg)
-    rho = cfg.parsed_rho(f.basis, f.r)
+    rho = _parsed_rho(cfg, f.basis, f.r)
     _degree_notice(cfg, rho)
     lim = predicted_limit(f, rho, cfg.kind)
     emit_report(cfg, _vector_columns(lim.values),
@@ -296,21 +298,15 @@ def cmd_limit(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_compare(cfg: ExperimentConfig) -> int:
+def cmd_compare(cfg: argparse.Namespace) -> int:
     f = _load_function(cfg)
-    rho = cfg.parsed_rho(f.basis, f.r)
+    rho = _parsed_rho(cfg, f.basis, f.r)
     _degree_notice(cfg, rho)
     schedule = cfg.n_schedule or [10**3, 10**4, 10**5]
     report = compare(f, rho, schedule, cfg.kind)
-    for n, s, l in zip(report.n_schedule, report.sup_distances, report.l2_distances):
+    for n, s, l in zip(schedule, report["sup_norm"], report["l2_norm"]):
         print(f"N={n}: sup {_fmt(s)}  l2 {_fmt(l)}")
-    emit_report(cfg, {"N": report.n_schedule, "sup": report.sup_distances,
-                      "l2": report.l2_distances}, {
-        "sup_norm": report.sup_distances,
-        "l2_norm": report.l2_distances,
-        "multipliers": report.multipliers,
-        "sup_nonincreasing": report.sup_nonincreasing,
-    })
+    emit_report(cfg, {"N": schedule, "sup": report["sup_norm"], "l2": report["l2_norm"]}, report)
     return 0
 
 
@@ -321,20 +317,16 @@ def _finite(text: str, flag: str, sep: str = ",", kind: type = float) -> list:
     return values
 
 
-def cmd_torus(cfg: ExperimentConfig) -> int:
+def cmd_torus(cfg: argparse.Namespace) -> int:
     beta = [_finite(comp, "--beta") for comp in cfg.beta.split(";")]
-    if len(beta) == 1:
-        beta = beta[0]
     freqs = [tuple(int(m) for m in part.split(",")) for part in (cfg.freqs or "1").split(";")]
     coeffs = _finite(cfg.coeffs or "1", "--coeffs", ";", complex)
     if len(freqs) != len(coeffs):
         raise ValueError("--freqs and --coeffs must have the same length")
     trig = {}  # a repeated frequency adds its coefficients
     for f, c in zip(freqs, coeffs):
-        key = f if len(f) > 1 else f[0]
-        trig[key] = trig[key] + c if key in trig else c
-    xs = tuple(_finite(cfg.x, "--x"))
-    x = xs if len(xs) > 1 else xs[0]
+        trig[f] = trig[f] + c if f in trig else c
+    x = tuple(_finite(cfg.x, "--x"))
     schedule = cfg.n_schedule or [10**4]
     averages = torus_averages(trig, beta, x, schedule, cfg.source)
     for n, value in zip(schedule, averages):
@@ -343,9 +335,9 @@ def cmd_torus(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_wiener(cfg: ExperimentConfig) -> int:
+def cmd_wiener(cfg: argparse.Namespace) -> int:
     basis = parse_basis(cfg.basis)
-    rho = cfg.parsed_rho(basis, cfg.r_max)
+    rho = _parsed_rho(cfg, basis, cfg.r_max)
     series = wiener_energy(basis, rho, cfg.r_max, cfg.kind)
     levels = [r for r, _ in series]
     for r, w in series:
@@ -355,29 +347,6 @@ def cmd_wiener(cfg: ExperimentConfig) -> int:
                 {"kind": cfg.kind, "series": [[r, w] for r, w in series]})
     return 0
 
-
-def _n_schedule(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
-# field -> (its flag, the flag's argparse options)
-_FLAGS = {
-    "basis": ("--basis", {"help": "const:<c> | cycle:<c0>,... | list:<c0>,... [@offset:<k>]"}),
-    "char": ("--char", {"help": "<ell>/<A> or <ell>@level:<r>"}),
-    "rho": ("--rho", {"help": "comma-separated integer coefficients, constant first"}),
-    "function": ("--function", {"help": "cylinder function JSON file"}),
-    "q": ("--q", {"type": int}),
-    "psi": ("--psi", {"help": "coefficients a1,a2,... of a1*x + a2*x^2 + ..."}),
-    "beta": ("--beta", {"help": "orbit coefficients, ';' between torus components"}),
-    "freqs": ("--freqs", {"help": "frequencies, ';' separated, ',' within a tuple"}),
-    "coeffs": ("--coeffs", {"help": "complex coefficients, ';' separated"}),
-    "x": ("--x", {"help": "starting point"}),
-    "r_max": ("--r-max", {"type": int}),
-    "n_schedule": ("--N", {"type": _n_schedule, "help": "comma-separated N schedule"}),
-    "source": ("--source", {"choices": _CHOICES["source"]}),
-    "kind": ("--kind", {"choices": _CHOICES["kind"]}),
-    "out": ("--out", {"help": "write <out>.csv and <out>.json"}),
-}
 
 # command -> (its function, the fields it requires, the other fields it reads);
 # a command takes the flags of exactly these fields, and --config
@@ -405,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override its values")
         for field in (*required, *optional):
-            flag, options = _FLAGS[field]
+            flag, _, options = _FIELDS[field]
             p.add_argument(flag, dest=field, **options)
     return parser
 

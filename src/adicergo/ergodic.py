@@ -2,14 +2,14 @@
 multiplier-predicted limits, plus the desk-scale torus averages."""
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .adic import AdicInt
 from .basis import Basis, parse_basis
+from .characters import unit_phase
 from .multipliers import MODULUS_CEILING, _check_budget, limit_distribution
 from .weyl import _point_route, _schedule_values, orbit_histogram, phase_sums
 
@@ -116,26 +116,13 @@ def predicted_limit(f: CylinderFunction, rho: list[AdicInt],
     return _apply_multipliers(f, multiplier_table(f.basis, f.r, rho, kind))
 
 
-@dataclass
-class ComparisonReport:
-    """Distances between the empirical averages and the predicted limit."""
-
-    n_schedule: list[int]
-    sup_distances: list[float]
-    l2_distances: list[float]
-    multipliers: np.ndarray  # complex, indexed by character numerator
-    sup_nonincreasing: bool = field(init=False)
-
-    def __post_init__(self):
-        self.sup_nonincreasing = all(
-            b <= a + 1e-15 for a, b in zip(self.sup_distances, self.sup_distances[1:]))
-
-
 def compare(f: CylinderFunction, rho: list[AdicInt], n_schedule: list[int],
-            kind: str = "prime") -> ComparisonReport:
+            kind: str = "prime") -> dict:
     """Run the empirical average over an N schedule against the predicted
     limit; sup distance enumerates every point of the quotient.  The primes
-    are sieved once, to the largest N, after every N is checked."""
+    are sieved once, to the largest N, after every N is checked.  Returns the
+    sup and l2 distances per N, the multiplier table (indexed by character
+    numerator) and whether the sup distances never increase."""
     source = "primes" if kind == "prime" else "naturals"
     mults = multiplier_table(f.basis, f.r, rho, kind)
     limit = _apply_multipliers(f, mults)
@@ -146,7 +133,8 @@ def compare(f: CylinderFunction, rho: list[AdicInt], n_schedule: list[int],
         diff = avg.values - limit.values
         sup.append(float(np.max(np.abs(diff))))
         l2.append(float(np.sqrt(np.mean(np.abs(diff) ** 2))))
-    return ComparisonReport(list(n_schedule), sup, l2, mults)
+    return {"sup_norm": sup, "l2_norm": l2, "multipliers": mults,
+            "sup_nonincreasing": all(b <= a + 1e-15 for a, b in zip(sup, sup[1:]))}
 
 
 def _as_tuple(v) -> tuple:
@@ -182,8 +170,8 @@ def torus_averages(trig_coeffs: dict, beta, x, n_schedule: list[int],
             raise ValueError("mixed frequency dimensions")
         phi = [sum(mi * comp[j] for mi, comp in zip(m, betas) if j < len(comp))
                for j in range(degree)]
-        phase_x = sum(mi * xi for mi, xi in zip(m, xs))
-        terms.append((phi, coeff * cmath.exp(2j * cmath.pi * phase_x)))
+        phase_x = sum(mi * Fraction(xi) for mi, xi in zip(m, xs)) % 1  # exact, as phi
+        terms.append((phi, coeff * unit_phase(phase_x.numerator, phase_x.denominator)))
     needed = source == "primes" or any(_point_route(phi) for phi, _ in terms)
     values = _schedule_values(source, n_schedule) if needed else None
     totals = [0j] * len(n_schedule)
@@ -208,6 +196,9 @@ def cylinder_to_dict(f: CylinderFunction) -> dict:
 def cylinder_from_dict(doc: dict) -> CylinderFunction:
     """The inverse of cylinder_to_dict: the values as one (n, 2) array of
     numbers, not strings, viewed as complex."""
+    if type(doc["basis"]) is not str or type(doc["r"]) is not int:
+        raise ValueError(f"function basis must be a string and r an int,"
+                         f" not {doc['basis']!r} and {doc['r']!r}")
     basis = parse_basis(doc["basis"])
     try:
         pairs = np.array(doc["values"])
@@ -216,4 +207,4 @@ def cylinder_from_dict(doc: dict) -> CylinderFunction:
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "biuf":
         raise ValueError("function values must be a list of [re, im] number pairs")
     values = pairs.astype(np.float64).view(np.complex128)[:, 0]
-    return CylinderFunction(basis, int(doc["r"]), values)
+    return CylinderFunction(basis, doc["r"], values)

@@ -15,9 +15,9 @@ from adicergo import basis as basis_module
 from adicergo import cli, weyl
 from adicergo.adic import embed
 from adicergo.basis import parse_basis
-from adicergo.characters import Character, parse_character
+from adicergo.characters import Character, parse_character, unit_phase
 from adicergo.cli import main
-from adicergo.ergodic import CylinderFunction, compare, torus_average
+from adicergo.ergodic import CylinderFunction, compare, torus_average, torus_averages
 from adicergo.weyl import adic_weyl_sum
 
 
@@ -128,6 +128,21 @@ def test_torus_command(tmp_path, capsys):
     rows = read_csv(tmp_path / "torus.csv")
     assert len(rows) == 3 and rows[0] == ["N", "re", "im", "abs"]
     assert float(rows[2][3]) < float(rows[1][3])
+
+
+def test_torus_start_phase_is_reduced_exactly(capsys):
+    # m*x was a float product: x = 1e308 overflowed to "nan - nani", exit 0
+    argv = ["torus", "--beta", "0,1", "--freqs", "10", "--N", "100"]
+    outputs = []
+    for x in ("1e308", "0"):
+        assert run([*argv, "--x", x]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and "nan" not in outputs[0]
+    values = [torus_averages({10: 1}, [0, 1], x, [100, 1000]) for x in (1e308, 0.0)]
+    assert values[0] == values[1]
+    # the phase of m*x is that of m*x mod 1, exactly: 3 * 0.75 = 2 + 1/4
+    (big,) = torus_averages({(3, 1): 1}, [[0], [0]], (0.75, 0.0), [10], "naturals")
+    assert big == unit_phase(1, 4)
 
 
 def test_config_roundtrip(tmp_path):
@@ -368,8 +383,8 @@ def test_one_sieve_per_compare(monkeypatch, tmp_path):
     rho = [embed(c, basis, 2) for c in (1, 0, 1)]
     for i, n in enumerate([1000, 100, 1000]):
         single = compare(f, rho, [n], "prime")
-        assert doc["sup_norm"][i] == single.sup_distances[0]
-        assert doc["l2_norm"][i] == single.l2_distances[0]
+        assert doc["sup_norm"][i] == single["sup_norm"][0]
+        assert doc["l2_norm"][i] == single["l2_norm"][0]
 
 
 def test_bad_n_in_compare_fails_before_the_sieve(monkeypatch, tmp_path, capsys):
@@ -412,8 +427,11 @@ def test_config_value_types_accepted(tmp_path):
     cfg = parsed("gauss", {"q": 5, "psi": "0,1", "out": None})
     assert (cfg.q, cfg.psi, cfg.out) == (5, "0,1", None)
     assert parsed("torus", {"beta": "0,0.5", "n_schedule": [3, 4]}).n_schedule == [3, 4]
+    assert parsed("torus", {"beta": "0,0.5", "out": None}).out is None
+    # null only where the default is None
     for command, bad in (("gauss", {"q": True}), ("torus", {"n_schedule": [1, 2.0]}),
-                         ("torus", {"source": None}), ("torus", {"x": 0})):
+                         ("torus", {"source": None}), ("torus", {"x": 0}),
+                         ("torus", {"x": None}), ("limit", {"kind": None})):
         with pytest.raises(ValueError, match="must be"):
             parsed(command, bad)
 
@@ -613,3 +631,43 @@ def test_config_echo_holds_the_fields_read(monkeypatch, tmp_path, command):
     assert set(echo) <= {*required, *optional}
     assert run([command, "--config", "first.json", "--out", "second"]) == 0
     assert (tmp_path / "first.csv").read_text() == (tmp_path / "second.csv").read_text()
+
+
+# Each command's other flags with a value, and the keys of its config echo,
+# in the order reports write them: with the required flags only, and with
+# every flag.
+OPTIONAL = {
+    "gauss": {"--psi": "0,1"},
+    "multiplier": {"--kind": "natural"},
+    "weyl": {"--N": "10", "--source": "naturals"},
+    "average": {"--N": "10", "--source": "naturals"},
+    "limit": {"--kind": "natural"},
+    "compare": {"--N": "10", "--kind": "natural"},
+    "torus": {"--freqs": "1", "--coeffs": "1", "--x": "0", "--N": "10", "--source": "naturals"},
+    "wiener": {"--kind": "natural"},
+}
+ECHO = {
+    "gauss": (["q", "out"], ["q", "psi", "out"]),
+    "multiplier": (["basis", "rho", "char", "kind", "out"],) * 2,
+    "weyl": (["basis", "rho", "char", "source", "out"],
+             ["basis", "rho", "char", "n_schedule", "source", "out"]),
+    "average": (["rho", "source", "function", "out"],
+                ["rho", "n_schedule", "source", "function", "out"]),
+    "limit": (["rho", "kind", "function", "out"],) * 2,
+    "compare": (["rho", "kind", "function", "out"],
+                ["rho", "n_schedule", "kind", "function", "out"]),
+    "torus": (["source", "beta", "x", "out"],
+              ["n_schedule", "source", "beta", "freqs", "coeffs", "x", "out"]),
+    "wiener": (["basis", "rho", "kind", "r_max", "out"],) * 2,
+}
+
+
+@pytest.mark.parametrize("every", [False, True], ids=["required", "every"])
+@pytest.mark.parametrize("command", sorted(ECHO))
+def test_config_echo_order(monkeypatch, tmp_path, command, every):
+    monkeypatch.chdir(tmp_path)
+    write_function(tmp_path, "const:2", 2, np.ones(8))
+    flags = {**REQUIRED[command], **(OPTIONAL[command] if every else {})}
+    assert run([command, *(x for f, v in flags.items() for x in (f, v)), "--out", "o"]) == 0
+    echo = json.loads((tmp_path / "o.json").read_text())["config"]
+    assert list(echo) == ECHO[command][every]

@@ -407,5 +407,5 @@ def test_table_paths_skip_per_character_sums(monkeypatch):
         assert predicted_limit(f, rho, kind).modulus == 60
         assert len(wiener_energy(basis, rho, 3, kind)) == 4
         builds.clear()
-        assert len(compare(f, rho, [100, 1000], kind).multipliers) == 60
+        assert len(compare(f, rho, [100, 1000], kind)["multipliers"]) == 60
         assert len(builds) == 1  # one table serves the limit and the report

@@ -1,6 +1,7 @@
 """emit_report writes the same bytes as the row-by-row reference writer:
 csv.writer with one dict per row and 17-digit floats, and json.dump(indent=2)
 of the document with every complex vector as a list of [re, im] pairs."""
+import argparse
 import csv
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from adicergo import cli
 from adicergo.adic import embed
 from adicergo.basis import parse_basis
-from adicergo.cli import ExperimentConfig, emit_report, main
+from adicergo.cli import emit_report, main
 from adicergo.ergodic import (CylinderFunction, empirical_average,
                               predicted_limit)
 
@@ -35,7 +36,8 @@ def reference_report(out, cfg, rows, summary, header):
             writer.writerow([format(v, ".17g") if isinstance(v, float) else v
                              for v in row.values()])
     with open(out + ".json", "w") as fh:
-        json.dump({"config": cfg.to_dict(), **summary}, fh, indent=2,
+        echo = {k: v for k, v in vars(cfg).items() if v is not None}
+        json.dump({"config": echo, **summary}, fh, indent=2,
                   default=reference_json_default)
         fh.write("\n")
 
@@ -62,12 +64,12 @@ def special_vectors():
 
 @pytest.mark.parametrize("vec", special_vectors(), ids=lambda v: f"len{len(v)}")
 def test_vector_report_matches_reference(tmp_path, vec):
-    cfg = ExperimentConfig(basis="const:2", x="0,1", out=str(tmp_path / "new"))
+    cfg = argparse.Namespace(basis="const:2", x="0,1", out=str(tmp_path / "new"))
     emit_report(cfg, cli._vector_columns(vec), {
         "result": {"basis": "const:2", "r": 3, "values": vec},
         "multipliers": vec, "value": complex(-0.0, math.inf), "flag": True,
         "series": [[1, 0.5], [2, math.nan]], "N": 7})
-    ref = ExperimentConfig(basis="const:2", x="0,1", out=str(tmp_path / "ref"))
+    ref = argparse.Namespace(basis="const:2", x="0,1", out=str(tmp_path / "ref"))
     reference_report(ref.out, cfg, vector_rows(vec), {
         "result": {"basis": "const:2", "r": 3, "values": pairs(vec)},
         "multipliers": [complex(v) for v in vec], "value": complex(-0.0, math.inf),
@@ -76,7 +78,7 @@ def test_vector_report_matches_reference(tmp_path, vec):
 
 
 def test_scalar_and_empty_columns_match_reference(tmp_path):
-    cfg = ExperimentConfig(out=str(tmp_path / "new"))
+    cfg = argparse.Namespace(out=str(tmp_path / "new"))
     emit_report(cfg, {"char": ["1/8"], "modulus": [8], "re": [-0.0], "im": [math.inf]},
                 {"multiplier": complex(-0.0, math.inf), "modulus": 8})
     reference_report(str(tmp_path / "ref"), cfg,
@@ -90,7 +92,7 @@ def test_scalar_and_empty_columns_match_reference(tmp_path):
 
 
 def test_nul_in_a_report_string_is_refused(tmp_path):
-    cfg = ExperimentConfig(basis="\0", out=str(tmp_path / "new"))
+    cfg = argparse.Namespace(basis="\0", out=str(tmp_path / "new"))
     with pytest.raises(ValueError, match="NUL"):
         emit_report(cfg, {}, {"values": np.ones(2, complex)})
     assert list(tmp_path.iterdir()) == []
@@ -143,7 +145,7 @@ def test_vector_commands_match_reference(tmp_path, command):
 def test_mixed_columns_match_reference(tmp_path, columns):
     # int ndarrays go through %d, and a str column that needs quoting (a comma,
     # a quote, an empty cell alone in its row) through csv.writer
-    cfg = ExperimentConfig(out=str(tmp_path / "new"))
+    cfg = argparse.Namespace(out=str(tmp_path / "new"))
     emit_report(cfg, columns, {})
     rows = [dict(zip(columns, row)) for row in zip(*(
         c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))]
@@ -151,13 +153,25 @@ def test_mixed_columns_match_reference(tmp_path, columns):
     assert read_both(cfg.out) == read_both(str(tmp_path / "ref"))
 
 
-@pytest.mark.parametrize("values", [[[1.0, 2.0], [3.0]], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
-                                    [["1", 2], [3, 4]], [[None, 1], [2, 3]], [1.0, 2.0],
-                                    "12", [[[1.0, 2.0]], [[3.0, 4.0]]]],
-                         ids=["ragged", "triple", "string", "null", "flat", "str", "deep"])
-def test_malformed_function_file_is_refused(tmp_path, capsys, values):
+def function_docs():
+    """Malformed cylinder files: bad values, then a bad basis or level type
+    (basis 5 was an AttributeError traceback; r "1", true and 2.7 were read
+    through int(), so 2.7 ran at level 2)."""
+    for values in ([[1.0, 2.0], [3.0]], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+                   [["1", 2], [3, 4]], [[None, 1], [2, 3]], [1.0, 2.0], "12",
+                   [[[1.0, 2.0]], [[3.0, 4.0]]]):
+        yield {"basis": "const:2", "r": 0, "values": values}
+    yield {"basis": 5, "r": 0, "values": [[1, 0], [2, 0]]}
+    for r in ("1", True, 2.7):  # values of the length int(r) gives: accepted before
+        yield {"basis": "const:2", "r": r, "values": [[1, 0]] * 2 ** (int(r) + 1)}
+
+
+@pytest.mark.parametrize("doc", function_docs(), ids=[
+    "ragged", "triple", "string", "null", "flat", "str", "deep",
+    "basis-int", "r-str", "r-bool", "r-float"])
+def test_malformed_function_file_is_refused(tmp_path, capsys, doc):
     path = tmp_path / "f.json"
-    path.write_text(json.dumps({"basis": "const:2", "r": 0, "values": values}))
+    path.write_text(json.dumps(doc))
     assert main(["average", "--function", str(path), "--rho", "0,1", "--N", "10"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
