@@ -323,6 +323,8 @@ def cmd_torus(cfg: argparse.Namespace) -> int:
     coeffs = _finite(cfg.coeffs or "1", "--coeffs", ";", complex)
     if len(freqs) != len(coeffs):
         raise ValueError("--freqs and --coeffs must have the same length")
+    if not cmath.isfinite(sum(map(abs, coeffs))):  # it bounds every average
+        raise ValueError(f"the sum of |--coeffs| must be finite, not {cfg.coeffs!r}")
     trig = {}  # a repeated frequency adds its coefficients
     for f, c in zip(freqs, coeffs):
         trig[f] = trig[f] + c if f in trig else c

@@ -10,8 +10,8 @@ import numpy as np
 from .adic import AdicInt
 from .basis import Basis, parse_basis
 from .characters import unit_phase
-from .multipliers import MODULUS_CEILING, _check_budget, limit_distribution
-from .weyl import _point_route, _schedule_values, orbit_histogram, phase_sums
+from .multipliers import MODULUS_CEILING, OrbitHistogram, _check_budget, limit_distribution
+from .weyl import _orbit_histograms, _phase_sums, orbit_histogram
 
 # the most shifts of an empirical average, occupied classes times A: 2^28
 # take about 1.2 s at A = 2^17 (4.4 ns a shift) on a 2-vCPU Xeon VM
@@ -70,18 +70,20 @@ def translate(f: CylinderFunction, y: int) -> CylinderFunction:
     return CylinderFunction(f.basis, f.r, np.roll(f.values, -y))
 
 
-def empirical_average(f: CylinderFunction, rho: list[AdicInt], n: int, source: str,
-                      values: np.ndarray | None = None) -> CylinderFunction:
+def empirical_average(f: CylinderFunction, rho: list[AdicInt], n: int,
+                      source: str) -> CylinderFunction:
     """The shift average x -> (1/total) sum over the source of f(x + rho(p)).
 
     Computed from the orbit histogram: a weighted sum of translates of f,
     one per occupied residue class, accumulated class by class.  The
     translate by c is the slice [c, c + A) of f written out twice, so no
     shifted copy is made.  The work, occupied classes times A, is checked
-    against its budget before the loop.  `values` may carry the primes sieved
-    once for a whole schedule, as in `orbit_histogram`.
+    against its budget before the loop.
     """
-    hist = orbit_histogram(f.basis, f.r, rho, n, source, values)
+    return _shift_average(f, orbit_histogram(f.basis, f.r, rho, n, source))
+
+
+def _shift_average(f: CylinderFunction, hist: OrbitHistogram) -> CylinderFunction:
     a = f.modulus
     occupied = np.flatnonzero(hist.counts)
     _check_budget(len(occupied) * a, _SHIFT_BUDGET, "shift average work")
@@ -119,21 +121,20 @@ def predicted_limit(f: CylinderFunction, rho: list[AdicInt],
 def compare(f: CylinderFunction, rho: list[AdicInt], n_schedule: list[int],
             kind: str = "prime") -> dict:
     """Run the empirical average over an N schedule against the predicted
-    limit; sup distance enumerates every point of the quotient.  The primes
-    are sieved once, to the largest N, after every N is checked.  Returns the
-    sup and l2 distances per N, the multiplier table (indexed by character
-    numerator) and whether the sup distances never increase."""
+    limit; sup distance enumerates every point of the quotient.  The
+    histograms at every N come from one pass over the source, after every N
+    is checked.  Returns the sup and l2 distances per N, the multiplier table
+    (indexed by character numerator) and whether the sup distances never
+    increase."""
     source = "primes" if kind == "prime" else "naturals"
     mults = multiplier_table(f.basis, f.r, rho, kind)
     limit = _apply_multipliers(f, mults)
-    values = _schedule_values(source, n_schedule) if source == "primes" else None
-    sup, l2 = [], []
-    for n in n_schedule:
-        avg = empirical_average(f, rho, n, source, values)
-        diff = avg.values - limit.values
-        sup.append(float(np.max(np.abs(diff))))
-        l2.append(float(np.sqrt(np.mean(np.abs(diff) ** 2))))
-    return {"sup_norm": sup, "l2_norm": l2, "multipliers": mults,
+    dist = {}
+    for n, hist in _orbit_histograms(f.basis, f.r, rho, n_schedule, source):
+        diff = _shift_average(f, hist).values - limit.values
+        dist[n] = (float(np.max(np.abs(diff))), float(np.sqrt(np.mean(np.abs(diff) ** 2))))
+    sup = [dist[n][0] for n in n_schedule]
+    return {"sup_norm": sup, "l2_norm": [dist[n][1] for n in n_schedule], "multipliers": mults,
             "sup_nonincreasing": all(b <= a + 1e-15 for a, b in zip(sup, sup[1:]))}
 
 
@@ -148,9 +149,9 @@ def torus_averages(trig_coeffs: dict, beta, x, n_schedule: list[int],
 
     trig_coeffs maps a frequency (int, or tuple for d > 1) to a complex
     coefficient; beta gives the orbit polynomial coefficients per torus
-    component (a flat list means d = 1); x is the starting point.  Each
-    frequency is one `phase_sums` call; the source is generated at most once,
-    to the largest N, and only when the primes or a point-route phase need it.
+    component (a flat list means d = 1); x is the starting point.  Every
+    frequency is one phase of `phase_sums`, all of them summed in one pass
+    over the source.
     """
     first = _as_tuple(next(iter(trig_coeffs)))
     dim = len(first)
@@ -172,11 +173,10 @@ def torus_averages(trig_coeffs: dict, beta, x, n_schedule: list[int],
                for j in range(degree)]
         phase_x = sum(mi * Fraction(xi) for mi, xi in zip(m, xs)) % 1  # exact, as phi
         terms.append((phi, coeff * unit_phase(phase_x.numerator, phase_x.denominator)))
-    needed = source == "primes" or any(_point_route(phi) for phi, _ in terms)
-    values = _schedule_values(source, n_schedule) if needed else None
+    sums = _phase_sums([phi for phi, _ in terms], n_schedule, source)
     totals = [0j] * len(n_schedule)
-    for phi, weight in terms:
-        for i, s in enumerate(phase_sums(phi, n_schedule, source, values)):
+    for i, n in enumerate(n_schedule):
+        for (_, weight), s in zip(terms, sums[n]):
             totals[i] += weight * s
     return totals
 

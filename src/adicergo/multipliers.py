@@ -45,11 +45,8 @@ class OrbitHistogram:
     total: int
 
 
-def _poly_table(basis: Basis, r: int, rho: list[AdicInt], weights) -> np.ndarray:
-    """Class weights scattered through the table of rho mod A: out[c] is the
-    exact int64 sum of weights(A)[t] over the residues t with rho(t) = c mod A.
-    `weights` is called once A has met the budget; it gives the class counts
-    of a sample, the units indicator, or 1 for every residue."""
+def _poly_table(basis: Basis, r: int, rho: list[AdicInt]) -> np.ndarray:
+    """rho mod A at every residue mod A, once A has met the budget."""
     a = basis.modulus(r)
     _check_budget(a, MODULUS_CEILING, "modulus")
     if not rho:
@@ -59,10 +56,17 @@ def _poly_table(basis: Basis, r: int, rho: list[AdicInt], weights) -> np.ndarray
             raise ValueError("basis mismatch in polynomial coefficients")
         if c.r < r:
             raise ValueError("coefficient precision below histogram precision")
-    table = poly_mod([c.v for c in rho], a, np.arange(a, dtype=np.int64))
-    counts = np.zeros(a, dtype=np.int64)
-    np.add.at(counts, table, np.asarray(weights(a), dtype=np.int64))
-    return counts
+    return poly_mod([c.v for c in rho], a, np.arange(a, dtype=np.int64))
+
+
+def _scatter(table: np.ndarray, weights) -> OrbitHistogram:
+    """Class weights scattered through a table of rho: counts[c] is the exact
+    int64 sum of weights[t] over the residues t with rho(t) = c.  The weights
+    are the class counts of a sample, the units indicator, or 1 for every
+    residue."""
+    counts = np.zeros(len(table), dtype=np.int64)
+    np.add.at(counts, table, np.asarray(weights, dtype=np.int64))
+    return OrbitHistogram(counts, int(counts.sum()))
 
 
 def limit_distribution(basis: Basis, r: int, rho: list[AdicInt], kind: str) -> OrbitHistogram:
@@ -75,10 +79,9 @@ def limit_distribution(basis: Basis, r: int, rho: list[AdicInt], kind: str) -> O
     """
     if kind not in ("prime", "natural"):
         raise ValueError(f"unknown multiplier kind {kind!r}")
-    units = kind == "prime"
-    counts = _poly_table(basis, r, rho,
-                         lambda a: np.gcd(np.arange(a, dtype=np.int64), a) == 1 if units else 1)
-    return OrbitHistogram(counts, int(counts.sum()))
+    table = _poly_table(basis, r, rho)
+    a = len(table)
+    return _scatter(table, np.gcd(np.arange(a, dtype=np.int64), a) == 1 if kind == "prime" else 1)
 
 
 def _exp_sum(coeffs, modulus: int, residues: np.ndarray) -> complex:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -28,23 +29,27 @@ def _odd_base_primes(limit: int) -> list[int]:
     return np.flatnonzero(flags)[1:].tolist()
 
 
-def primes_in_range(lo: int, hi: int) -> np.ndarray:
-    """All primes in [lo, hi], ascending, as int64.  Segmented, exact.
+def prime_segments(hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The primes up to hi, ascending, one segment at a time: for every
+    segment [k * 2 * _SEGMENT, (k + 1) * 2 * _SEGMENT) of a fixed grid up to
+    hi, the pair (its last integer, cut at hi; its primes as int64).  The
+    budget is checked before anything is sieved.
 
     Only odd numbers carry a flag: flag i of a segment starting at the odd
     number s stands for s + 2i, so the odd multiples of a base prime p, 2p
-    apart, are every p-th flag from the first one >= max(p*p, s).
+    apart, are every p-th flag from the first one >= max(p*p, s).  Flag 0
+    stands for 1: no base prime marks it, and its entry becomes 2, the one
+    even prime.
     """
     _check_budget(hi, sieve_budget(), "sieve bound")
-    lo = max(lo, 2)
-    if hi < lo:
-        return np.array([], dtype=np.int64)
+    if hi < 2:
+        return
     base = _odd_base_primes(math.isqrt(hi))
-    chunks = [np.array([2] if lo == 2 else [], dtype=np.int64)]
-    for start in range(max(lo, 3) | 1, hi + 1, 2 * _SEGMENT):
-        size = min(_SEGMENT, (hi - start) // 2 + 1)
-        end = start + 2 * (size - 1)
-        flags = np.ones(size, dtype=bool)
+    buffer = np.empty(_SEGMENT, dtype=bool)  # the flags of every segment in turn
+    for start in range(1, hi + 1, 2 * _SEGMENT):
+        end = min(start + 2 * _SEGMENT - 2, hi)
+        flags = buffer[:(end - start) // 2 + 1]
+        flags[:] = True
         for p in base:
             first = p * p
             if first > end:
@@ -54,8 +59,19 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
                 if first % 2 == 0:
                     first += p
             flags[(first - start) // 2:: p] = False
-        chunks.append(2 * np.flatnonzero(flags) + start)
-    return np.concatenate(chunks)
+        primes = np.flatnonzero(flags)
+        primes *= 2
+        primes += start
+        if start == 1:
+            primes[0] = 2
+        yield end, primes
+
+
+def primes_in_range(lo: int, hi: int) -> np.ndarray:
+    """All primes in [lo, hi], ascending, as int64: the segments joined."""
+    primes = np.concatenate([np.empty(0, dtype=np.int64),
+                             *(primes for _, primes in prime_segments(hi))])
+    return primes[np.searchsorted(primes, lo):]
 
 
 def prime_count(n: int) -> int:

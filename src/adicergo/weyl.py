@@ -2,7 +2,9 @@
 which Weyl sums of characters and torus sums both are, and orbit histograms."""
 from __future__ import annotations
 
+import bisect
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +12,18 @@ import numpy as np
 from .adic import AdicInt, poly_mod
 from .basis import Basis
 from .characters import Character, reduce_phase
-from .multipliers import MODULUS_CEILING, OrbitHistogram, _check_budget, _poly_table
-from .primes import primes_in_range, sieve_budget
+from .multipliers import (MODULUS_CEILING, OrbitHistogram, _check_budget, _poly_table,
+                          _scatter)
+# primes_in_range stays bound here: the benchmark's tests check that its
+# tracer puts weyl.primes_in_range back
+from .primes import prime_segments, primes_in_range, sieve_budget  # noqa: F401
+
+# points per block of a point-route sum, and naturals per piece: the 24 bytes
+# a point that are live while a block is summed (200 KB) stay in cache and
+# below what the allocator returns to the system; the terms of a whole sieve
+# segment (3.7 MB) would be returned and faulted in afresh every time
+_CHUNK = 1 << 13
+
 
 def _check_bound(source: str, n: int):
     if source == "primes":
@@ -24,49 +36,86 @@ def _check_bound(source: str, n: int):
         raise ValueError(f"unknown source {source!r}")
 
 
-def _source_values(source: str, n: int, values: np.ndarray | None = None) -> np.ndarray:
-    """The source elements up to N, ascending.  With `values` (the source
-    already generated to a bound >= N) this is its prefix, a view."""
-    _check_bound(source, n)
-    if values is not None:
-        return values[:np.searchsorted(values, n, side="right")]
+def _pieces(source: str, hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The source up to hi in the pieces of a fixed grid, ascending, as (the
+    last integer a piece covers, its elements): the sieve's segments, or the
+    chunks [k * _CHUNK, (k + 1) * _CHUNK) of the naturals."""
     if source == "primes":
-        return primes_in_range(2, n)
-    _check_budget(n, sieve_budget(), "source bound")
-    return np.arange(1, n + 1, dtype=np.int64)
+        yield from prime_segments(hi)
+        return
+    _check_budget(hi, sieve_budget(), "source bound")
+    for start in range(0, hi + 1, _CHUNK):
+        end = min(start + _CHUNK - 1, hi)
+        yield end, np.arange(max(start, 1), end + 1, dtype=np.int64)
 
 
-def _schedule_values(source: str, n_schedule: list[int]) -> np.ndarray | None:
-    """The source up to the largest N of a schedule, generated once, so that
-    every N takes a prefix.  Every N is checked before anything is sieved."""
+def _natural_counts(n: int, m: int) -> np.ndarray:
+    """The class counts mod m of 1..N, closed-form, O(m) for any N below
+    2^63: N // m full periods, plus one for 1 <= c <= N mod m."""
+    _check_budget(n, int(np.iinfo(np.int64).max), "N")
+    counts = np.full(m, n // m, dtype=np.int64)
+    counts[1: n % m + 1] += 1
+    return counts
+
+
+def _sweep(source: str, n_schedule: list[int], moduli: list[int],
+           phis: list[list[Fraction]]) -> Iterator[tuple[int, int, list, list]]:
+    """At each distinct N of a schedule, ascending: (N, the number of source
+    elements up to N, their class counts mod each modulus, the sums of
+    e(phi) over them for each phi).  Every N is checked first; then one pass
+    over the source holds one piece, one count vector per modulus and one
+    block of e(phi) (see _block_sums).  The count vectors are the running
+    ones, so a snapshot is used before the pass goes on.
+
+    The sum at N adds, in ascending order, the sum of every whole piece below
+    N and then of the piece holding N cut at N, the steps of a pass that
+    stops at N: an N inside a schedule gets the bits of a single-N run.
+    Over the naturals the class counts are closed-form, and the pass runs
+    only for phis.
+    """
     for n in n_schedule:
         _check_bound(source, n)
-    return _source_values(source, max(n_schedule)) if n_schedule else None
+    stops = sorted(set(n_schedule))
+    if not stops:
+        return
+    if source == "naturals" and not phis:
+        for n in stops:
+            yield n, n, [_natural_counts(n, m) for m in moduli], []
+        return
+    sieved = source == "primes"
+    counts = [np.zeros(m, dtype=np.int64) for m in moduli] if sieved else []
+    sums, total, done = [0j] * len(phis), 0, 0
+    for end, piece in _pieces(source, stops[-1]):
+        inside = stops[done:bisect.bisect_right(stops, end)]
+        done += len(inside)
+        # the piece cut at each N inside it, then whole
+        cuts = [*np.searchsorted(piece, inside, side="right").tolist(), len(piece)]
+        parts = [_block_sums(phi, piece, cuts) for phi in phis]
+        for i, (start, k) in enumerate(zip([0, *cuts], cuts)):
+            for c in counts:
+                np.add.at(c, piece[start:k] % len(c), 1)
+            if i < len(inside):
+                at_n = counts if sieved else [_natural_counts(inside[i], m) for m in moduli]
+                yield inside[i], total + k, at_n, [s + p[i] for s, p in zip(sums, parts)]
+        sums = [s + p[-1] for s, p in zip(sums, parts)]
+        total += len(piece)
 
 
-def _class_counts(source: str, n: int, m: int,
-                  values: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """The class counts mod m of the source up to N, and their total.  Over
-    the naturals they are closed-form, O(m) for any N below 2^63: N // m full
-    periods, plus one for 1 <= c <= N mod m.  Over the primes they are one
-    bincount of the sieve (a prefix of `values` when given)."""
-    if source == "naturals":
-        _check_bound(source, n)
-        _check_budget(n, int(np.iinfo(np.int64).max), "N")
-        counts = np.full(m, n // m, dtype=np.int64)
-        counts[1: n % m + 1] += 1
-        return counts, n
-    primes = _source_values(source, n, values)
-    return np.bincount(primes % m, minlength=m), len(primes)
+def _orbit_histograms(basis: Basis, r: int, rho: list[AdicInt], n_schedule: list[int],
+                      source: str) -> Iterator[tuple[int, OrbitHistogram]]:
+    """(N, the orbit histogram up to N) at each distinct N of a schedule,
+    ascending, from one pass over the source: its class counts mod A
+    scattered through the O(A) polynomial table."""
+    table = _poly_table(basis, r, rho)
+    for n, _, (counts,), _ in _sweep(source, n_schedule, [len(table)], []):
+        yield n, _scatter(table, counts)
 
 
-def orbit_histogram(basis: Basis, r: int, rho: list[AdicInt], n: int, source: str,
-                    values: np.ndarray | None = None) -> OrbitHistogram:
-    """Exact bin counts of rho over the source up to N, reduced mod A: the
-    class counts of the source mod A scattered through the O(A) polynomial
-    table.  `values` may carry the primes sieved once for a whole schedule."""
-    counts = _poly_table(basis, r, rho, lambda a: _class_counts(source, n, a, values)[0])
-    return OrbitHistogram(counts, int(counts.sum()))
+def orbit_histogram(basis: Basis, r: int, rho: list[AdicInt], n: int,
+                    source: str) -> OrbitHistogram:
+    """Exact bin counts of rho over the source up to N, reduced mod A."""
+    ((_, hist),) = _orbit_histograms(basis, r, rho, [n], source)
+    return hist
 
 
 def _torus_phases(coeffs: list[Fraction], values: np.ndarray) -> np.ndarray:
@@ -81,38 +130,69 @@ def _torus_phases(coeffs: list[Fraction], values: np.ndarray) -> np.ndarray:
     return phases.astype(np.float64) / den
 
 
+def _block_sums(phi: list[Fraction], points: np.ndarray, cuts: list[int]) -> list[complex]:
+    """The sums of e(phi) over points[:k] for each k of the ascending cuts:
+    the sums of the whole blocks of _CHUNK points before k, added in order,
+    then of the block that holds k cut at k.  The points cut at k give the
+    same blocks, so the same bits."""
+    out, done, i = [], 0j, 0
+    for start in range(0, max(len(points), 1), _CHUNK):
+        terms = _terms(phi, points[start:start + _CHUNK])
+        while i < len(cuts) and cuts[i] <= start + _CHUNK:
+            out.append(done + complex(np.sum(terms[:cuts[i] - start])))
+            i += 1
+        done += complex(np.sum(terms))
+    return out
+
+
+def _terms(phi: list[Fraction], points: np.ndarray) -> np.ndarray:
+    """e(phi) at every point."""
+    terms = 2j * np.pi * _torus_phases(phi, points)
+    return np.exp(terms, out=terms)
+
+
 def _denominator(phi: list[Fraction]) -> int:
     return math.lcm(*(c.denominator for c in phi))
 
 
-def _point_route(phi: list[Fraction]) -> bool:
-    return _denominator(phi) > MODULUS_CEILING
-
-
-def phase_sums(phi: list, n_schedule: list[int], source: str,
-               values: np.ndarray | None = None) -> list[complex]:
-    """Normalized sums of e(phi(n)) over the source up to each N, for
-    phi(x) = phi[0] + phi[1] x + ... with rational coefficients.  `values` may
-    carry the source up to every N, its bounds already checked.
+def _phase_sums(phis: list[list], n_schedule: list[int], source: str) -> dict[int, list]:
+    """The normalized sums of e(phi(n)) over the source up to each N, for
+    several phi(x) = phi[0] + phi[1] x + ... with rational coefficients, from
+    one pass: {N: [the sum of each phi]}.
 
     Class route, when the common denominator den is within the vector budget:
     e(phi) on the residues mod den, weighted by the class counts of the source
     mod den (the naturals cost O(den) at any N).  Point route, otherwise:
-    e(phi) once over the source up to the largest N, each N summing a prefix.
+    e(phi) summed over the source piece by piece (see _sweep).
     """
-    phi = [Fraction(c) for c in phi]
-    if values is None and (source == "primes" or _point_route(phi)):
-        values = _schedule_values(source, n_schedule)
-    if not n_schedule:
-        return []
-    if _point_route(phi):
-        ends = np.searchsorted(values, n_schedule, side="right").tolist()
-        terms = np.exp(2j * np.pi * _torus_phases(phi, values[:max(ends)]))
-        return [complex(np.sum(terms[:k]) / k) for k in ends]
-    den = _denominator(phi)
-    terms = np.exp(2j * np.pi * _torus_phases(phi, np.arange(den, dtype=np.int64)))
-    return [complex(np.sum(counts * terms) / total)
-            for counts, total in (_class_counts(source, n, den, values) for n in n_schedule)]
+    phis = [[Fraction(c) for c in phi] for phi in phis]
+    dens = [_denominator(phi) for phi in phis]
+    moduli = sorted({den for den in dens if den <= MODULUS_CEILING})
+    point = [phi for phi, den in zip(phis, dens) if den > MODULUS_CEILING]
+    # e(phi) on the residues of each class-route phi, computed once while they
+    # fit the vector budget together; past it, one phi at a time
+    held, hold_all = {}, sum(den for den in dens if den <= MODULUS_CEILING) <= MODULUS_CEILING
+
+    def class_sum(i: int, counts: np.ndarray, total: int) -> complex:
+        if i not in held:
+            if not hold_all:
+                held.clear()
+            held[i] = _terms(phis[i], np.arange(dens[i], dtype=np.int64))
+        return complex(np.sum(counts * held[i]) / total)
+
+    out = {}
+    for n, total, counts, sums in _sweep(source, n_schedule, moduli, point):
+        by_den, sums = dict(zip(moduli, counts)), iter(sums)
+        out[n] = [next(sums) / total if den > MODULUS_CEILING
+                  else class_sum(i, by_den[den], total) for i, den in enumerate(dens)]
+    return out
+
+
+def phase_sums(phi: list, n_schedule: list[int], source: str) -> list[complex]:
+    """Normalized sums of e(phi(n)) over the source up to each N, for
+    phi(x) = phi[0] + phi[1] x + ... with rational coefficients."""
+    out = _phase_sums([phi], n_schedule, source)
+    return [out[n][0] for n in n_schedule]
 
 
 def adic_weyl_sums(chi: Character, rho: list[AdicInt], n_schedule: list[int],

@@ -251,10 +251,15 @@ def test_weyl_past_the_old_default_modulus(capsys):
     ["--beta", "0;0,nan"],
     ["--beta", "0,0.5", "--x", "inf"],
     ["--beta", "0,0.5", "--coeffs", "1;nan", "--freqs", "1;2"],
-], ids=["beta-inf", "beta-overflow", "beta-nan", "x-inf", "coeffs-nan"])
+    ["--beta", "0,0.5", "--coeffs", "1e308;1e308", "--freqs", "1;1", "--source", "naturals"],
+    ["--beta", "0,0", "--coeffs", "1e308;1e308", "--freqs", "1;2"],
+], ids=["beta-inf", "beta-overflow", "beta-nan", "x-inf", "coeffs-nan", "coeffs-sum-repeated",
+        "coeffs-sum-distinct"])
 def test_torus_refuses_non_finite_input(capsys, argv):
     # an infinite beta ended in an OverflowError traceback, and an infinite x
-    # or coefficient printed nan - nani with exit 0
+    # or coefficient printed nan - nani with exit 0; so did finite
+    # coefficients of a repeated frequency whose sum overflows, and distinct
+    # frequencies printed inf + 0i
     assert run(["torus", *argv, "--N", "100"]) == 1
     assert "must be finite" in assert_one_error_line(capsys)
 
@@ -338,15 +343,20 @@ def test_weyl_naturals_at_huge_n(capsys):
                 "--source", "naturals", "--N", str(2**63)]) == 2
 
 
-def test_one_sieve_per_command(monkeypatch, tmp_path):
+def count_passes(monkeypatch) -> list:
+    """The bound of every sieve pass that starts, with the sieve still run."""
     calls = []
-    sieve = weyl.primes_in_range
-    monkeypatch.setattr(weyl, "primes_in_range",
-                        lambda lo, hi: calls.append((lo, hi)) or sieve(lo, hi))
+    sieve = weyl.prime_segments
+    monkeypatch.setattr(weyl, "prime_segments", lambda hi: calls.append(hi) or sieve(hi))
+    return calls
+
+
+def test_one_sieve_per_command(monkeypatch, tmp_path):
+    calls = count_passes(monkeypatch)
     schedule = [3000, 1000, 3000, 20000]
     assert run(["weyl", "--basis", "cycle:2,3,5", "--char", "7/30", "--rho", "0,0,1",
                 "--N", ",".join(map(str, schedule)), "--out", str(tmp_path / "w")]) == 0
-    assert calls == [(2, 20000)]
+    assert calls == [20000]
     chi = Character(parse_basis("cycle:2,3,5"), 2, 7)
     rho = [embed(c, chi.basis, 2) for c in (0, 0, 1)]
     rows = read_csv(tmp_path / "w.csv")[1:]
@@ -360,7 +370,7 @@ def test_one_sieve_per_command(monkeypatch, tmp_path):
     assert run(["torus", "--beta", ",".join(map(repr, beta)), "--freqs", "1;2;3",
                 "--coeffs", "1;1;1", "--N", "5000,300,5000",
                 "--out", str(tmp_path / "t")]) == 0
-    assert calls == [(2, 5000)]
+    assert calls == [5000]
     rows = read_csv(tmp_path / "t.csv")[1:]
     for n, row in zip([5000, 300, 5000], rows):
         s = torus_average(trig, beta, 0.0, n, "primes")
@@ -368,16 +378,13 @@ def test_one_sieve_per_command(monkeypatch, tmp_path):
 
 
 def test_one_sieve_per_compare(monkeypatch, tmp_path):
-    calls = []
-    sieve = weyl.primes_in_range
-    monkeypatch.setattr(weyl, "primes_in_range",
-                        lambda lo, hi: calls.append((lo, hi)) or sieve(lo, hi))
+    calls = count_passes(monkeypatch)
     basis = parse_basis("cycle:2,3,5")
     values = np.random.default_rng(3).normal(size=30) + 0.5j
     fpath = write_function(tmp_path, "cycle:2,3,5", 2, values)
     assert run(["compare", "--function", fpath, "--rho", "1,0,1", "--kind", "prime",
                 "--N", "1000,100,1000", "--out", str(tmp_path / "cmp")]) == 0
-    assert calls == [(2, 1000)]
+    assert calls == [1000]
     doc = json.loads((tmp_path / "cmp.json").read_text())
     f = CylinderFunction(basis, 2, values)
     rho = [embed(c, basis, 2) for c in (1, 0, 1)]
@@ -388,8 +395,7 @@ def test_one_sieve_per_compare(monkeypatch, tmp_path):
 
 
 def test_bad_n_in_compare_fails_before_the_sieve(monkeypatch, tmp_path, capsys):
-    calls = []
-    monkeypatch.setattr(weyl, "primes_in_range", lambda lo, hi: calls.append((lo, hi)))
+    calls = count_passes(monkeypatch)
     fpath = write_function(tmp_path, "const:2", 2, np.ones(8))
     assert run(["compare", "--function", fpath, "--rho", "0,0,1",
                 "--N", "1000,1"]) == 1
@@ -438,8 +444,7 @@ def test_config_value_types_accepted(tmp_path):
 
 def test_average_refuses_a_schedule(monkeypatch, tmp_path, capsys):
     # a second N was silently dropped: the average ran at the last N only
-    calls = []
-    monkeypatch.setattr(weyl, "primes_in_range", lambda lo, hi: calls.append((lo, hi)))
+    calls = count_passes(monkeypatch)
     fpath = write_function(tmp_path, "const:2", 2, np.ones(8))
     assert run(["average", "--function", fpath, "--rho", "0,0,1", "--N", "100,5"]) == 1
     assert "one N" in assert_one_error_line(capsys)
@@ -454,8 +459,7 @@ def test_average_refuses_a_schedule(monkeypatch, tmp_path, capsys):
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_empty_schedule_is_refused(monkeypatch, tmp_path, capsys, command, source):
-    calls = []
-    monkeypatch.setattr(weyl, "primes_in_range", lambda lo, hi: calls.append((lo, hi)))
+    calls = count_passes(monkeypatch)
     if command[0] in ("average", "compare"):
         command = [*command, "--function", write_function(tmp_path, "const:2", 2, np.ones(8))]
     if source == "flag":

@@ -17,7 +17,6 @@ from adicergo.ergodic import (CylinderFunction, Spectrum, compare,
                               empirical_average, idft, predicted_limit,
                               torus_average, translate)
 from adicergo.multipliers import BudgetError
-from adicergo.primes import primes_in_range
 from adicergo.weyl import adic_weyl_sum, orbit_histogram, phase_sums
 
 DYADIC = parse_basis("const:2")
@@ -200,10 +199,12 @@ def test_average_matches_roll_reference_bitwise(case):
         want = roll_average(f, rho, n, source).view(np.uint64)
         got = empirical_average(f, rho, n, source).values
         assert np.array_equal(got.view(np.uint64), want)
-        if source == "primes":  # a prefix of primes sieved past N gives the same bits
-            got = empirical_average(f, rho, n, source,
-                                    values=primes_in_range(2, n + 500)).values
-            assert np.array_equal(got.view(np.uint64), want)
+        # an N inside a compare schedule gives the bits of a single-N run
+        kind = "prime" if source == "primes" else "natural"
+        inside, alone = compare(f, rho, [n + 500, n, 2], kind), compare(f, rho, [n], kind)
+        for key in ("sup_norm", "l2_norm"):
+            assert (np.array(inside[key][1:2]).view(np.uint64)
+                    == np.array(alone[key]).view(np.uint64)).all()
 
 
 def test_window_support_preserved():

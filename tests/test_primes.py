@@ -76,8 +76,8 @@ def test_odd_only_sieve_against_trial_division(hi):
     got = primes_in_range(2, hi)
     assert got.dtype == np.int64
     # trial division on every integer near each segment edge (an odd-only
-    # segment of _SEGMENT flags spans 2 * _SEGMENT integers from 3) and near hi
-    edges = [3 + k * 2 * _SEGMENT for k in range(hi // (2 * _SEGMENT) + 1)] + [hi]
+    # segment of _SEGMENT flags spans 2 * _SEGMENT integers from 0) and near hi
+    edges = [k * 2 * _SEGMENT for k in range(hi // (2 * _SEGMENT) + 1)] + [hi]
     window = sorted({n for e in edges for n in range(max(2, e - 60), min(hi, e + 60) + 1)})
     found = set(got.tolist())
     assert [n for n in window if n in found] == [n for n in window if is_prime(n)]

@@ -16,7 +16,7 @@ from adicergo.basis import parse_basis
 from adicergo.characters import Character, char_value, reduce_phase
 from adicergo.ergodic import torus_average
 from adicergo.multipliers import BudgetError, multiplier_natural
-from adicergo.primes import primes_in_range
+from adicergo.primes import _SEGMENT, primes_in_range
 from adicergo.weyl import (adic_weyl_sum, adic_weyl_sums, orbit_histogram,
                            phase_sums)
 
@@ -130,8 +130,8 @@ def test_torus_phases_are_exact_dyadics():
                                  (12345, 900), (899, 900), (1800, 900)])
 def test_natural_class_counts_closed_form(n, a):
     expected = np.bincount(np.arange(1, n + 1) % a, minlength=a)
-    got, total = weyl._class_counts("naturals", n, a)
-    assert total == n
+    got = weyl._natural_counts(n, a)
+    assert got.sum() == n
     assert got.dtype == np.int64 and np.array_equal(got, expected)
 
 
@@ -271,3 +271,74 @@ def test_rational_torus_sum_takes_the_class_route():
     assert peak < 100_000
     period = sum(e(7 * x + 3 * x * x, 21) for x in range(21))
     assert abs(got - (47619 * period + e(10, 21)) / 10**6) < 1e-12  # 10^6 = 47619*21 + 1
+
+
+# the first integer of the second sieve segment; the grid does not depend on N
+EDGE = 2 * _SEGMENT
+IRRATIONAL = [Fraction(0), Fraction(0.7071067811865476), Fraction(1.4142135623730951)]
+
+
+@pytest.mark.parametrize("m", [1, 30, 4096])
+def test_streamed_prime_class_counts(m):
+    # N at, just below and just above the ends of the first two segments,
+    # unsorted and repeated, counted in one pass
+    schedule = [EDGE + 1, EDGE - 1, 2, 2 * EDGE, EDGE, 2 * EDGE - 1, EDGE - 1, 2 * EDGE + 1, 3]
+    got = {n: (total, counts.copy())  # the running counts, used at once
+           for n, total, (counts,), _ in weyl._sweep("primes", schedule, [m], [])}
+    assert list(got) == sorted(set(schedule))
+    primes = primes_in_range(2, max(schedule))
+    for n in schedule:
+        below = primes[:np.searchsorted(primes, n, side="right")]
+        total, counts = got[n]
+        assert total == len(below)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.bincount(below % m, minlength=m))
+
+
+@pytest.mark.parametrize("source, schedule", [
+    ("primes", [EDGE + 3001, 10**6, EDGE - 1, EDGE + 3001, 2]),
+    ("naturals", [3 * weyl._CHUNK + 17, weyl._CHUNK, 100, weyl._CHUNK - 1, 1]),
+])
+def test_point_route_sum_inside_a_schedule(source, schedule):
+    # an N inside a schedule gets the bits of a single-N run, N across
+    # several pieces of the source and at the edge of a block of primes; both
+    # stay near a correctly rounded sum
+    assert weyl._denominator(IRRATIONAL) > weyl.MODULUS_CEILING
+    if source == "primes":
+        block_end = int(primes_in_range(2, 10**5)[weyl._CHUNK - 1])
+        schedule = [*schedule, block_end, block_end + 1, block_end - 1]
+    got = phase_sums(IRRATIONAL, schedule, source)
+    alone = [phase_sums(IRRATIONAL, [n], source)[0] for n in schedule]
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(alone).view(np.uint64))
+    top = max(schedule)
+    points = primes_in_range(2, top) if source == "primes" else np.arange(1, top + 1)
+    terms = np.exp(2j * np.pi * weyl._torus_phases(IRRATIONAL, points))
+    for n, s in zip(schedule, got):
+        k = int(np.searchsorted(points, n, side="right"))
+        direct = complex(math.fsum(terms[:k].real), math.fsum(terms[:k].imag)) / k
+        assert abs(s - direct) < 1e-12
+
+
+def class_phases_past_the_budget():
+    with mock.patch.object(weyl, "MODULUS_CEILING", 2**18):  # 4 * 2^17 residues
+        torus_average({1: 1.0, 3: 1.0, 5: 1.0, 7: 1.0}, [Fraction(0), Fraction(1, 2**17)],
+                      0.0, 10**6, "primes")
+
+
+@pytest.mark.parametrize("run", [
+    lambda: adic_weyl_sums(Character(CYCLE, 2, 7), square(CYCLE, 2), [10**6, 10**7], "primes"),
+    lambda: torus_average({1: 1.0, 2: 1.0}, IRRATIONAL, 0.0, 3 * 10**6, "naturals"),
+    class_phases_past_the_budget,
+], ids=["weyl-primes", "torus-naturals-points", "torus-primes-classes"])
+def test_streamed_pass_holds_no_n_sized_array(run):
+    # one sieve segment or chunk of naturals at a time, where the primes up
+    # to 10^7 alone took 5.3 MB and the points 1..3e6 about 40 bytes each;
+    # and e(phi) on the 2^17 residues (2 MB) of one class-route phase at a
+    # time, once the phases pass the vector budget together
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
