@@ -6,10 +6,8 @@ import argparse
 import cmath
 import csv
 import functools
-import itertools
 import json
 import sys
-import types
 
 import numpy as np
 
@@ -44,10 +42,10 @@ _FIELDS = {
     "source": ("--source", "primes", {"choices": ("primes", "naturals")}),
     "kind": ("--kind", "prime", {"choices": ("prime", "natural")}),
     "q": ("--q", None, {"type": int}),
-    "psi": ("--psi", None, {"help": "coefficients a1,a2,... of a1*x + a2*x^2 + ..."}),
+    "psi": ("--psi", "0,1", {"help": "coefficients a1,a2,... of a1*x + a2*x^2 + ..."}),
     "beta": ("--beta", None, {"help": "orbit coefficients, ';' between torus components"}),
-    "freqs": ("--freqs", None, {"help": "frequencies, ';' separated, ',' within a tuple"}),
-    "coeffs": ("--coeffs", None, {"help": "complex coefficients, ';' separated"}),
+    "freqs": ("--freqs", "1", {"help": "frequencies, ';' separated, ',' within a tuple"}),
+    "coeffs": ("--coeffs", "1", {"help": "complex coefficients, ';' separated"}),
     "x": ("--x", "0", {"help": "starting point"}),
     "r_max": ("--r-max", None, {"type": int}),
     "function": ("--function", None, {"help": "cylinder function JSON file"}),
@@ -128,7 +126,8 @@ def parse_config(args: argparse.Namespace) -> argparse.Namespace:
 
 def emit_report(cfg: argparse.Namespace, columns: dict, summary: dict):
     """Write <out>.csv (one column per key of `columns`, a name mapped to a
-    sequence) and <out>.json (config echo plus summary).
+    sequence, as csv.writer writes its rows) and <out>.json (config echo plus
+    summary).
 
     CSV floats are written with 17 significant digits.  The JSON is
     json.dumps(indent=2): floats in their shortest round-trip repr, NaN and
@@ -139,31 +138,15 @@ def emit_report(cfg: argparse.Namespace, columns: dict, summary: dict):
         return
     echo = {k: v for k, v in vars(cfg).items() if v is not None}
     text = _json_text({"config": echo, **summary})  # first: a refusal writes no file
+    cells = [[_fmt(v) if isinstance(v, float) else v
+              for v in (c.tolist() if isinstance(c, np.ndarray) else c)]
+             for c in columns.values()]
     with open(cfg.out + ".csv", "w", newline="") as fh:
-        csv.writer(fh).writerow(list(columns))
-        fh.write(_csv_rows(list(columns.values())))
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells))
     with open(cfg.out + ".json", "w") as fh:
         fh.write(text + "\n")
-
-
-def _csv_rows(columns: list) -> str:
-    """The data rows as csv.writer writes them, in one % step: a column of
-    floats through %.17g, a column of ints (a range or an int ndarray too)
-    through %d, and the cells of any other column as csv.writer quotes them."""
-    specs, cells = [], []
-    for column in columns:
-        values = column.tolist() if isinstance(column, np.ndarray) else column
-        kinds = set(map(type, values))
-        spec = "%d" if kinds <= {int} else "%.17g" if kinds <= {float, np.float64} else "%s"
-        if spec == "%s":  # csv.writer quotes an empty cell alone in its row
-            pad, lines = [None] * (len(columns) > 1), []
-            csv.writer(types.SimpleNamespace(write=lines.append)).writerows(
-                [v, *pad] for v in values)
-            values = [line[:-len(pad) - 2] for line in lines]
-        specs.append(spec)
-        cells.append(values)
-    flat = tuple(itertools.chain.from_iterable(zip(*cells)))
-    return (",".join(specs) + "\r\n") * (len(flat) // max(len(cells), 1)) % flat
 
 
 _VECTOR = "\0"  # stands for a complex vector in the text json.dumps writes
@@ -221,7 +204,7 @@ def _degree_notice(cfg: argparse.Namespace, rho: list[AdicInt]):
 
 
 def cmd_gauss(cfg: argparse.Namespace) -> int:
-    psi = [int(c) for c in (cfg.psi or "0,1").split(",")]
+    psi = [int(c) for c in cfg.psi.split(",")]
     value = complete_exp_sum(psi, cfg.q)
     _print_complex("complete exponential sum", value)
     emit_report(cfg, {"q": [cfg.q], "re": [value.real], "im": [value.imag], "abs": [abs(value)]},
@@ -262,10 +245,6 @@ def _series_columns(schedule: list[int], values: list[complex]) -> dict:
             "abs": [abs(v) for v in values]}
 
 
-def _vector_columns(values: np.ndarray) -> dict:
-    return {"c": range(len(values)), "re": values.real, "im": values.imag}
-
-
 def _load_function(cfg: argparse.Namespace) -> CylinderFunction:
     try:
         return cylinder_from_dict(_read_json(cfg.function))
@@ -281,7 +260,7 @@ def cmd_average(cfg: argparse.Namespace) -> int:
         raise ValueError(f"average takes one N, not a schedule of {len(schedule)}")
     n = schedule[0]
     avg = empirical_average(f, rho, n, cfg.source)
-    emit_report(cfg, _vector_columns(avg.values),
+    emit_report(cfg, {"modulus": [f.modulus], "N": [n], "source": [cfg.source]},
                 {"result": cylinder_to_dict(avg), "N": n, "source": cfg.source})
     print(f"averaged {f.modulus} residues at N={n} over {cfg.source}")
     return 0
@@ -292,7 +271,7 @@ def cmd_limit(cfg: argparse.Namespace) -> int:
     rho = _parsed_rho(cfg, f.basis, f.r)
     _degree_notice(cfg, rho)
     lim = predicted_limit(f, rho, cfg.kind)
-    emit_report(cfg, _vector_columns(lim.values),
+    emit_report(cfg, {"modulus": [lim.modulus], "kind": [cfg.kind]},
                 {"result": cylinder_to_dict(lim), "kind": cfg.kind})
     print(f"predicted limit over {lim.modulus} residues ({cfg.kind} kind)")
     return 0
@@ -319,8 +298,8 @@ def _finite(text: str, flag: str, sep: str = ",", kind: type = float) -> list:
 
 def cmd_torus(cfg: argparse.Namespace) -> int:
     beta = [_finite(comp, "--beta") for comp in cfg.beta.split(";")]
-    freqs = [tuple(int(m) for m in part.split(",")) for part in (cfg.freqs or "1").split(";")]
-    coeffs = _finite(cfg.coeffs or "1", "--coeffs", ";", complex)
+    freqs = [tuple(int(m) for m in part.split(",")) for part in cfg.freqs.split(";")]
+    coeffs = _finite(cfg.coeffs, "--coeffs", ";", complex)
     if len(freqs) != len(coeffs):
         raise ValueError("--freqs and --coeffs must have the same length")
     if not cmath.isfinite(sum(map(abs, coeffs))):  # it bounds every average

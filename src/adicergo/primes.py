@@ -19,16 +19,6 @@ def sieve_budget() -> int:
     return int(os.environ.get("ADICERGO_MAX_N", 10**8))
 
 
-def _odd_base_primes(limit: int) -> list[int]:
-    """The odd primes up to limit (at most the square root of a sieve bound)."""
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p:: p] = False
-    return np.flatnonzero(flags)[1:].tolist()
-
-
 def prime_segments(hi: int) -> Iterator[tuple[int, np.ndarray]]:
     """The primes up to hi, ascending, one segment at a time: for every
     segment [k * 2 * _SEGMENT, (k + 1) * 2 * _SEGMENT) of a fixed grid up to
@@ -44,7 +34,8 @@ def prime_segments(hi: int) -> Iterator[tuple[int, np.ndarray]]:
     _check_budget(hi, sieve_budget(), "sieve bound")
     if hi < 2:
         return
-    base = _odd_base_primes(math.isqrt(hi))
+    # the odd base primes: the primes up to sqrt(hi), from this sieve, less 2
+    base = [p for _, primes in prime_segments(math.isqrt(hi)) for p in primes.tolist()][1:]
     buffer = np.empty(_SEGMENT, dtype=bool)  # the flags of every segment in turn
     for start in range(1, hi + 1, 2 * _SEGMENT):
         end = min(start + 2 * _SEGMENT - 2, hi)

@@ -522,6 +522,18 @@ def test_required_flags_checked_in_order(capsys, command):
     assert assert_one_error_line(capsys) == required_message(next(iter(REQUIRED[command])))
 
 
+@pytest.mark.parametrize("argv", [
+    ["gauss", "--q", "5", "--psi", ""],
+    ["torus", "--beta", "0,0.5", "--freqs", "", "--N", "100"],
+    ["torus", "--beta", "0,0.5", "--coeffs", "", "--N", "100"],
+], ids=["psi", "freqs", "coeffs"])
+def test_empty_flag_is_refused(tmp_path, capsys, argv):
+    # an empty value is bad input, not a request for the default
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert_one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (["multiplier", "--basis", "const:2", "--char", "1/8", "--rho", "0,x"],
      "bad rho coefficients '0,x'"),
@@ -651,7 +663,7 @@ OPTIONAL = {
     "wiener": {"--kind": "natural"},
 }
 ECHO = {
-    "gauss": (["q", "out"], ["q", "psi", "out"]),
+    "gauss": (["q", "psi", "out"],) * 2,
     "multiplier": (["basis", "rho", "char", "kind", "out"],) * 2,
     "weyl": (["basis", "rho", "char", "source", "out"],
              ["basis", "rho", "char", "n_schedule", "source", "out"]),
@@ -660,7 +672,7 @@ ECHO = {
     "limit": (["rho", "kind", "function", "out"],) * 2,
     "compare": (["rho", "kind", "function", "out"],
                 ["rho", "n_schedule", "kind", "function", "out"]),
-    "torus": (["source", "beta", "x", "out"],
+    "torus": (["source", "beta", "freqs", "coeffs", "x", "out"],
               ["n_schedule", "source", "beta", "freqs", "coeffs", "x", "out"]),
     "wiener": (["basis", "rho", "kind", "r_max", "out"],) * 2,
 }

@@ -1,6 +1,7 @@
 """emit_report writes the same bytes as the row-by-row reference writer:
 csv.writer with one dict per row and 17-digit floats, and json.dump(indent=2)
-of the document with every complex vector as a list of [re, im] pairs."""
+of the document with every complex vector as a list of [re, im] pairs.  A
+complex vector is written once, in the JSON: its CSV is one row of scalars."""
 import argparse
 import csv
 import json
@@ -13,8 +14,8 @@ from adicergo import cli
 from adicergo.adic import embed
 from adicergo.basis import parse_basis
 from adicergo.cli import emit_report, main
-from adicergo.ergodic import (CylinderFunction, empirical_average,
-                              predicted_limit)
+from adicergo.ergodic import (CylinderFunction, cylinder_from_dict,
+                              empirical_average, predicted_limit)
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
            2.2250738585072014e-308, 0.1, 1 / 3, 1e16, 123456789.0]
@@ -46,10 +47,6 @@ def pairs(values):
     return [[float(v.real), float(v.imag)] for v in values]
 
 
-def vector_rows(values):
-    return [{"c": c, "re": v.real, "im": v.imag} for c, v in enumerate(values)]
-
-
 def read_both(prefix):
     return [open(prefix + ext, "rb").read() for ext in (".csv", ".json")]
 
@@ -65,15 +62,15 @@ def special_vectors():
 @pytest.mark.parametrize("vec", special_vectors(), ids=lambda v: f"len{len(v)}")
 def test_vector_report_matches_reference(tmp_path, vec):
     cfg = argparse.Namespace(basis="const:2", x="0,1", out=str(tmp_path / "new"))
-    emit_report(cfg, cli._vector_columns(vec), {
+    emit_report(cfg, {"modulus": [len(vec)], "N": [7], "source": ["primes"]}, {
         "result": {"basis": "const:2", "r": 3, "values": vec},
         "multipliers": vec, "value": complex(-0.0, math.inf), "flag": True,
         "series": [[1, 0.5], [2, math.nan]], "N": 7})
     ref = argparse.Namespace(basis="const:2", x="0,1", out=str(tmp_path / "ref"))
-    reference_report(ref.out, cfg, vector_rows(vec), {
+    reference_report(ref.out, cfg, [{"modulus": len(vec), "N": 7, "source": "primes"}], {
         "result": {"basis": "const:2", "r": 3, "values": pairs(vec)},
         "multipliers": [complex(v) for v in vec], "value": complex(-0.0, math.inf),
-        "flag": True, "series": [[1, 0.5], [2, math.nan]], "N": 7}, ["c", "re", "im"])
+        "flag": True, "series": [[1, 0.5], [2, math.nan]], "N": 7}, ["modulus", "N", "source"])
     assert read_both(cfg.out) == read_both(ref.out)
 
 
@@ -129,10 +126,33 @@ def test_vector_commands_match_reference(tmp_path, command):
         result = predicted_limit(f, rho, "prime")
         extra = {"kind": "prime"}
     cfg = cli.parse_config(cli.build_parser().parse_args(argv))
-    reference_report(str(tmp_path / "ref"), cfg, vector_rows(result.values),
+    reference_report(str(tmp_path / "ref"), cfg, [{"modulus": 30, **extra}],
                      {"result": function_doc(basis, 2, result.values), **extra},
-                     ["c", "re", "im"])
+                     ["modulus", *extra])
     assert read_both(out) == read_both(str(tmp_path / "ref"))
+
+
+@pytest.mark.parametrize("command", ["average", "limit"])
+def test_vector_is_written_once(tmp_path, command):
+    # the CSV is a header and one row of scalars; the vector is in the JSON
+    # alone, and reads back through cylinder_from_dict to the same bits
+    basis = parse_basis("const:2")
+    values = np.array([complex(-0.0, 5e-324), complex(0.1, -0.0), 1 / 3, -1e300] * 4)
+    f = CylinderFunction(basis, 3, values)
+    out = str(tmp_path / command)
+    argv = [command, "--function", function_file(tmp_path, basis, 3, values),
+            "--rho", "0,1,1", "--out", out]
+    assert main([*argv, "--N", "300"] if command == "average" else argv) == 0
+    rho = [embed(c, basis, 3) for c in (0, 1, 1)]
+    want = (empirical_average(f, rho, 300, "primes") if command == "average"
+            else predicted_limit(f, rho, "prime"))
+    with open(out + ".csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 2 and rows[1][0] == "16"
+    with open(out + ".json") as fh:
+        got = cylinder_from_dict(json.load(fh)["result"])
+    assert (got.basis.spec_string(), got.r) == ("const:2", 3)
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 @pytest.mark.parametrize("columns", [
@@ -143,8 +163,8 @@ def test_vector_commands_match_reference(tmp_path, command):
     {"b": [True, 2], "n": [2**70, -3]},
 ], ids=["mixed", "alone", "bool-and-big"])
 def test_mixed_columns_match_reference(tmp_path, columns):
-    # int ndarrays go through %d, and a str column that needs quoting (a comma,
-    # a quote, an empty cell alone in its row) through csv.writer
+    # ndarray columns as their lists, and cells that need quoting (a comma, a
+    # quote, an empty cell alone in its row) as csv.writer quotes them
     cfg = argparse.Namespace(out=str(tmp_path / "new"))
     emit_report(cfg, columns, {})
     rows = [dict(zip(columns, row)) for row in zip(*(
