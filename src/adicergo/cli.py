@@ -126,18 +126,14 @@ def parse_config(args: argparse.Namespace) -> argparse.Namespace:
 
 def emit_report(cfg: argparse.Namespace, columns: dict, summary: dict):
     """Write <out>.csv (one column per key of `columns`, a name mapped to a
-    sequence, as csv.writer writes its rows) and <out>.json (config echo plus
-    summary).
-
-    CSV floats are written with 17 significant digits.  The JSON is
-    json.dumps(indent=2): floats in their shortest round-trip repr, NaN and
-    Infinity as json's tokens, complex numbers and complex vectors as
-    [re, im] pairs.
-    """
+    sequence, as csv.writer writes its rows, floats at 17 significant digits)
+    and <out>.json (config echo plus summary, as compact json.dumps writes it,
+    complex numbers and vectors as [re, im] pairs), the JSON text first, so a
+    refusal writes no file."""
     if cfg.out is None:
         return
     echo = {k: v for k, v in vars(cfg).items() if v is not None}
-    text = _json_text({"config": echo, **summary})  # first: a refusal writes no file
+    text = json.dumps({"config": echo, **summary}, default=_json_default)
     cells = [[_fmt(v) if isinstance(v, float) else v
               for v in (c.tolist() if isinstance(c, np.ndarray) else c)]
              for c in columns.values()]
@@ -149,46 +145,13 @@ def emit_report(cfg: argparse.Namespace, columns: dict, summary: dict):
         fh.write(text + "\n")
 
 
-_VECTOR = "\0"  # stands for a complex vector in the text json.dumps writes
-
-
-def _json_text(doc: dict) -> str:
-    """json.dumps(doc, indent=2), with a complex number as [re, im] and a
-    complex vector as its list of [re, im] pairs, written in one step rather
-    than pair by pair."""
-    vectors = []
-
-    def default(v):
-        if isinstance(v, np.ndarray) and v.dtype == np.complex128 and v.ndim == 1:
-            vectors.append(v)
-            return _VECTOR
-        if isinstance(v, complex):
-            return [v.real, v.imag]
-        raise TypeError(f"not serializable: {type(v)}")
-
-    parts = json.dumps(doc, indent=2, default=default).split(json.dumps(_VECTOR))
-    if len(parts) != len(vectors) + 1:
-        raise ValueError("report strings may not hold a NUL character")
-    text = [parts[0]]
-    for vec, part in zip(vectors, parts[1:]):
-        line = text[-1].rpartition("\n")[2]
-        text += [_vector_json(vec, len(line) - len(line.lstrip(" "))), part]
-    return "".join(text)
-
-
-def _vector_json(vec: np.ndarray, indent: int) -> str:
-    """The list of [re, im] pairs of a complex vector as json.dumps(indent=2)
-    writes it on a line indented by `indent` spaces: the template is filled
-    with the float reprs in one step, then nan/inf become NaN/Infinity."""
-    if not len(vec):
-        return "[]"
-    outer = "\n" + " " * (indent + 2)
-    inner = "\n" + " " * (indent + 4)
-    pair = f"[{inner}%r,{inner}%r{outer}]"
-    template = f"[{outer}" + f",{outer}".join([pair] * len(vec)) + "\n" + " " * indent + "]"
-    floats = np.column_stack((vec.real, vec.imag)).ravel().tolist()
-    text = template % tuple(floats)
-    return text.replace("nan", "NaN").replace("inf", "Infinity")
+def _json_default(v):
+    """A complex number as [re, im], a complex vector as its list of pairs."""
+    if isinstance(v, np.ndarray) and v.dtype == np.complex128 and v.ndim == 1:
+        return np.column_stack((v.real, v.imag)).tolist()
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    raise TypeError(f"not serializable: {type(v)}")
 
 
 def _print_complex(label: str, z: complex):

@@ -2,6 +2,7 @@
 multiplier-predicted limits, plus the desk-scale torus averages."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,11 +132,19 @@ def compare(f: CylinderFunction, rho: list[AdicInt], n_schedule: list[int],
     limit = _apply_multipliers(f, mults)
     dist = {}
     for n, hist in _orbit_histograms(f.basis, f.r, rho, n_schedule, source):
-        diff = _shift_average(f, hist).values - limit.values
-        dist[n] = (float(np.max(np.abs(diff))), float(np.sqrt(np.mean(np.abs(diff) ** 2))))
+        dist[n] = _sup_and_l2(_shift_average(f, hist).values - limit.values)
     sup = [dist[n][0] for n in n_schedule]
     return {"sup_norm": sup, "l2_norm": [dist[n][1] for n in n_schedule], "multipliers": mults,
             "sup_nonincreasing": all(b <= a + 1e-15 for a, b in zip(sup, sup[1:]))}
+
+
+def _sup_and_l2(diff: np.ndarray) -> tuple[float, float]:
+    """The largest |diff| and the root mean square of |diff|, squared after
+    an exact scaling by 2^-e, with 2^e just above the largest, so none overflows."""
+    size = np.abs(diff)
+    sup = float(np.max(size))
+    e = math.frexp(sup)[1]
+    return sup, math.ldexp(float(np.sqrt(np.mean(np.ldexp(size, -e) ** 2))), e)
 
 
 def _as_tuple(v) -> tuple:
@@ -195,7 +204,7 @@ def cylinder_to_dict(f: CylinderFunction) -> dict:
 
 def cylinder_from_dict(doc: dict) -> CylinderFunction:
     """The inverse of cylinder_to_dict: the values as one (n, 2) array of
-    numbers, not strings, viewed as complex."""
+    finite numbers, not strings, of finite sum |re| + |im|, viewed as complex."""
     if type(doc["basis"]) is not str or type(doc["r"]) is not int:
         raise ValueError(f"function basis must be a string and r an int,"
                          f" not {doc['basis']!r} and {doc['r']!r}")
@@ -206,5 +215,8 @@ def cylinder_from_dict(doc: dict) -> CylinderFunction:
         pairs = np.array(None)
     if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "biuf":
         raise ValueError("function values must be a list of [re, im] number pairs")
-    values = pairs.astype(np.float64).view(np.complex128)[:, 0]
-    return CylinderFunction(basis, doc["r"], values)
+    pairs = pairs.astype(np.float64)
+    with np.errstate(over="ignore"):  # an overflowing sum is refused, not warned of
+        if not np.isfinite(np.abs(pairs).sum()):  # it bounds every average and coefficient
+            raise ValueError("function values, and the sum of their |re| + |im|, must be finite")
+    return CylinderFunction(basis, doc["r"], pairs.view(np.complex128)[:, 0])

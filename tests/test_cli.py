@@ -311,6 +311,41 @@ def test_function_file_without_values(tmp_path, capsys):
     assert "values" in assert_one_error_line(capsys)
 
 
+def write_doc(tmp_path, values):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"basis": "const:2", "r": 2, "values": values}))
+    return str(path)
+
+
+@pytest.mark.parametrize("values", [
+    [[1e308, 0]] * 3 + [[1, 0]] * 5,  # finite values, an infinite sum: the FFT overflowed
+    [[math.nan, 0]] + [[1, 0]] * 7,
+    [[1, math.inf]] + [[1, 0]] * 7,
+], ids=["big", "nan", "inf"])
+@pytest.mark.parametrize("command", [["limit"], ["compare", "--N", "100"],
+                                     ["average", "--N", "100"]], ids=lambda c: c[0])
+def test_function_file_past_the_double_range_is_refused(tmp_path, capsys, recwarn,
+                                                         values, command):
+    fpath = write_doc(tmp_path, values)
+    assert run([*command, "--function", fpath, "--rho", "0,0,1",
+                "--out", str(tmp_path / "out")]) == 1
+    assert "finite" in assert_one_error_line(capsys)
+    assert list(recwarn) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
+
+
+def test_compare_l2_past_the_square_overflow(tmp_path, capsys, recwarn):
+    # |diff| near 4e198: its square overflowed, and l2 read inf
+    fpath = write_doc(tmp_path, [[1e200, 0], [-1e200, 0]] + [[1, 0]] * 6)
+    assert run(["compare", "--function", fpath, "--rho", "0,0,1", "--N", "100,1000",
+                "--out", str(tmp_path / "cmp")]) == 0
+    assert capsys.readouterr().err == ""
+    assert list(recwarn) == []
+    doc = json.loads((tmp_path / "cmp.json").read_text())
+    for sup, l2 in zip(doc["sup_norm"], doc["l2_norm"]):
+        assert 0 < l2 <= sup < math.inf
+
+
 def test_memory_error_is_a_budget_exit(monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError("Unable to allocate 8.00 TiB")

@@ -1,17 +1,19 @@
+import argparse
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adicergo.adic import embed, include_in_window
 from adicergo.basis import parse_basis
 from adicergo.characters import Character, char_value
 from adicergo import ergodic
-from adicergo.cli import _json_text
+from adicergo.cli import emit_report
 from adicergo.ergodic import (CylinderFunction, Spectrum, compare,
                               cylinder_from_dict, cylinder_to_dict, dft,
                               empirical_average, idft, predicted_limit,
@@ -242,6 +244,40 @@ def test_compare_natural_exact_at_period():
     assert report["sup_norm"][0] < 1e-9
 
 
+@st.composite
+def differences(draw):
+    """Complex difference vectors of a length A from the benchmark or below,
+    every |diff| at least 2^-400, their entries drawn from a pool of up to 8,
+    so some repeat."""
+    entries = st.complex_numbers(min_magnitude=2.0 ** -399, max_magnitude=2.0 ** 515,
+                                 allow_nan=False, allow_infinity=False)
+    pool = np.array(draw(st.lists(entries, min_size=1, max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    return pool[rng.integers(len(pool), size=draw(st.sampled_from([1, 2, 8, 30, 900])))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(differences())
+def test_scaled_l2_matches_the_plain_root_bitwise(diff):
+    with np.errstate(over="ignore"):
+        plain = float(np.sqrt(np.mean(np.abs(diff) ** 2)))
+    assume(math.isfinite(plain) and np.abs(diff).min() >= 2.0 ** -400)
+    sup, l2 = ergodic._sup_and_l2(diff)
+    assert sup == np.abs(diff).max()
+    assert math.isfinite(l2) and l2.hex() == plain.hex()
+
+
+def test_scaled_l2_past_the_square_overflow():
+    # |diff| of 4e198 squared overflows; the scaled root does not
+    diff = np.array([4e198, -4e198j, 1e198, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sup, l2 = ergodic._sup_and_l2(diff)
+    assert sup == 4e198
+    assert l2 == pytest.approx(math.sqrt(33 / 4) * 1e198, rel=1e-15)
+    assert ergodic._sup_and_l2(np.zeros(3, complex)) == (0.0, 0.0)
+
+
 def test_compare_constant_zero_distance():
     rho = square(DYADIC, 2)
     f = CylinderFunction(DYADIC, 2, np.full(8, 1.5))
@@ -276,10 +312,12 @@ def test_torus_average_two_dimensional():
         torus_average(trig, [0.0, 1.0], (0.0, 0.0), 100, "primes")
 
 
-def test_serialization_roundtrip():
+def test_serialization_roundtrip(tmp_path):
     # through the text a report writes: the values as a list of [re, im] pairs
     f = random_function(CYCLE, 2, seed=23)
-    doc = json.loads(_json_text(cylinder_to_dict(f)))
+    emit_report(argparse.Namespace(out=str(tmp_path / "f")), {}, cylinder_to_dict(f))
+    doc = json.loads((tmp_path / "f.json").read_text())
+    assert doc.pop("config") == {"out": str(tmp_path / "f")}
     assert doc["values"] == [[v.real, v.imag] for v in f.values.tolist()]
     back = cylinder_from_dict(doc)
     assert back.basis == f.basis and back.r == f.r

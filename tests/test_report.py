@@ -1,5 +1,5 @@
 """emit_report writes the same bytes as the row-by-row reference writer:
-csv.writer with one dict per row and 17-digit floats, and json.dump(indent=2)
+csv.writer with one dict per row and 17-digit floats, and compact json.dump
 of the document with every complex vector as a list of [re, im] pairs.  A
 complex vector is written once, in the JSON: its CSV is one row of scalars."""
 import argparse
@@ -38,8 +38,7 @@ def reference_report(out, cfg, rows, summary, header):
                              for v in row.values()])
     with open(out + ".json", "w") as fh:
         echo = {k: v for k, v in vars(cfg).items() if v is not None}
-        json.dump({"config": echo, **summary}, fh, indent=2,
-                  default=reference_json_default)
+        json.dump({"config": echo, **summary}, fh, default=reference_json_default)
         fh.write("\n")
 
 
@@ -88,10 +87,11 @@ def test_scalar_and_empty_columns_match_reference(tmp_path):
     assert read_both(cfg.out) == read_both(str(tmp_path / "ref"))
 
 
-def test_nul_in_a_report_string_is_refused(tmp_path):
-    cfg = argparse.Namespace(basis="\0", out=str(tmp_path / "new"))
-    with pytest.raises(ValueError, match="NUL"):
-        emit_report(cfg, {}, {"values": np.ones(2, complex)})
+def test_unserializable_summary_writes_no_file(tmp_path):
+    # the document is dumped before any file is opened
+    cfg = argparse.Namespace(basis="const:2", out=str(tmp_path / "new"))
+    with pytest.raises(TypeError, match="not serializable"):
+        emit_report(cfg, {"n": [1]}, {"values": np.ones(2, complex), "bad": np.ones(2, int)})
     assert list(tmp_path.iterdir()) == []
 
 
@@ -111,7 +111,8 @@ def test_vector_commands_match_reference(tmp_path, command):
     basis = parse_basis("cycle:2,3,5")
     rng = np.random.default_rng(11)
     values = rng.normal(size=30) + 1j * rng.normal(size=30)
-    values[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), 5e-324, complex(1e308, -1e308)]
+    # the last value keeps the sum of |re| + |im| finite, as a function file must
+    values[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), 5e-324, complex(1e308, -5e307)]
     f = CylinderFunction(basis, 2, values)
     fpath = function_file(tmp_path, basis, 2, values)
     out = str(tmp_path / command)
@@ -196,3 +197,27 @@ def test_malformed_function_file_is_refused(tmp_path, capsys, doc):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gauss", "--q", "7"],
+    ["multiplier", "--basis", "cycle:2,3,5", "--char", "7/30", "--rho", "0,0,1"],
+    ["weyl", "--basis", "const:2", "--char", "1@level:3", "--rho", "0,0,1", "--N", "100,1000"],
+    ["average", "--rho", "0,1,1", "--N", "300"],
+    ["limit", "--rho", "0,1,1", "--kind", "natural"],
+    ["compare", "--rho", "0,1,1", "--N", "100,1000"],
+    ["torus", "--beta", "0,0.5;0,0.25", "--freqs", "1,0;0,1", "--coeffs", "1;1j", "--x", "0,0",
+     "--N", "50"],
+    ["wiener", "--basis", "const:3", "--r-max", "3", "--rho", "0,0,1"],
+], ids=lambda argv: argv[0])
+def test_json_report_is_compact_json_dumps(tmp_path, argv):
+    # every report is json.dumps of its document, written once, on one line
+    if "--basis" not in argv and argv[0] in ("average", "limit", "compare"):
+        values = np.array([complex(-0.0, 5e-324), 0.1, 1 / 3, -1e300, 1j, 2, 3, 4])
+        argv = [*argv, "--function", function_file(tmp_path, parse_basis("const:2"), 2, values)]
+    out = str(tmp_path / "out")
+    assert main([*argv, "--out", out]) == 0
+    with open(out + ".json") as fh:
+        text = fh.read()
+    assert text == json.dumps(json.loads(text)) + "\n"
+    assert text.count("\n") == 1
