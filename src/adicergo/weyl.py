@@ -16,7 +16,8 @@ from .multipliers import (MODULUS_CEILING, OrbitHistogram, _check_budget, _poly_
                           _scatter)
 # primes_in_range stays bound here: the benchmark's tests check that its
 # tracer puts weyl.primes_in_range back
-from .primes import prime_segments, primes_in_range, sieve_budget  # noqa: F401
+from .primes import (_recursion_cost, prime_class_counts, prime_segments,  # noqa: F401
+                     primes_in_range, sieve_budget)
 
 # points per block of a point-route sum, and naturals per piece: the 24 bytes
 # a point that are live while a block is summed (200 KB) stay in cache and
@@ -71,7 +72,9 @@ def _sweep(source: str, n_schedule: list[int], moduli: list[int],
     N and then of the piece holding N cut at N, the steps of a pass that
     stops at N: an N inside a schedule gets the bits of a single-N run.
     Over the naturals the class counts are closed-form, and the pass runs
-    only for phis.
+    only for phis.  Over the primes with no phi, the class counts come from
+    the floor-value recursion instead, with no pass, when its estimated cost
+    (see primes._recursion_cost) is below the sieve's.
     """
     for n in n_schedule:
         _check_bound(source, n)
@@ -81,6 +84,12 @@ def _sweep(source: str, n_schedule: list[int], moduli: list[int],
     if source == "naturals" and not phis:
         for n in stops:
             yield n, n, [_natural_counts(n, m) for m in moduli], []
+        return
+    if (source == "primes" and moduli and not phis
+            and sum(_recursion_cost(stops, m) for m in moduli) < stops[-1]):
+        tables = [prime_class_counts(stops, m) for m in moduli]
+        for i, n in enumerate(stops):
+            yield n, int(tables[0][i].sum()), [t[i] for t in tables], []
         return
     sieved = source == "primes"
     counts = [np.zeros(m, dtype=np.int64) for m in moduli] if sieved else []

@@ -354,6 +354,15 @@ def test_memory_error_is_a_budget_exit(monkeypatch, capsys):
     assert "out of memory" in assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("text", ["1e9", "-1"])
+def test_malformed_sieve_budget_is_named(monkeypatch, capsys, text):
+    monkeypatch.setenv("ADICERGO_MAX_N", text)
+    assert run(["weyl", "--basis", "const:2", "--char", "1/8", "--rho", "0,0,1",
+                "--N", "1000"]) == 1
+    assert f"ADICERGO_MAX_N must be a non-negative decimal integer, not {text!r}" in \
+        assert_one_error_line(capsys)
+
+
 def test_torus_naturals_checked_against_budget(monkeypatch, capsys):
     monkeypatch.setenv("ADICERGO_MAX_N", "1000")
     aranges = []

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adicergo.multipliers import BudgetError
-from adicergo.primes import _SEGMENT, prime_count, primes_in_range
+from adicergo.multipliers import MODULUS_CEILING, BudgetError
+from adicergo.primes import (_SEGMENT, _table_shape, prime_class_counts, prime_count,
+                             primes_in_range)
 
 
 def trial_division_primes(lo, hi):
@@ -90,3 +93,66 @@ def test_odd_only_sieve_lower_bounds(lo):
     hi = 4 * _SEGMENT + 11
     expected = plain_sieve(hi)
     assert np.array_equal(primes_in_range(lo, hi), expected[expected >= lo])
+
+
+ORACLE_PRIMES = plain_sieve(2 * 10**5)
+
+
+def sieve_class_counts(n, m):
+    """The sieve's class counts of the primes up to n: the oracle."""
+    below = ORACLE_PRIMES[:np.searchsorted(ORACLE_PRIMES, n, side="right")]
+    return np.bincount(below % m, minlength=m)
+
+
+def assert_class_counts(stops, m):
+    got = prime_class_counts(stops, m)
+    assert got.dtype == np.int64 and got.shape == (len(stops), m)
+    for n, row in zip(stops, got):
+        assert np.array_equal(row, sieve_class_counts(n, m)), (n, m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 2000), st.lists(st.integers(0, 2 * 10**5), min_size=1, max_size=4))
+def test_class_counts_against_the_sieve(m, stops):
+    # any schedule order, repeats included; a table past its budget is
+    # refused before it is allocated
+    if math.prod(_table_shape(stops, m)) > MODULUS_CEILING:
+        with pytest.raises(BudgetError):
+            prime_class_counts(stops, m)
+    else:
+        assert_class_counts(stops, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 27, 32, 30, 2 * 1009, 5 * 401])
+@pytest.mark.parametrize("stops", [
+    [2], [3], [4], [0, 1, 2],
+    [48, 49, 120, 121, 10200, 10201],  # p^2 - 1 and p^2
+    [100, 50, 5],                      # below m for the larger m
+    [30000, 20000, 20000],             # not floor values of each other
+    [5000], [500],                     # 401 and 1009 above sqrt(N), and above N
+])
+def test_class_counts_edge_cases(m, stops):
+    assert_class_counts(stops, m)
+
+
+def test_exact_prime_counts():
+    assert prime_count(3 * 10**7) == 1_857_859
+    assert prime_count(10**8) == 5_761_455
+    assert [prime_count(n) for n in (-5, 0, 1, 2, 3, 4)] == [0, 0, 0, 1, 2, 2]
+
+
+def test_class_count_budgets(monkeypatch):
+    monkeypatch.setenv("ADICERGO_MAX_N", "1000")
+    with pytest.raises(BudgetError, match="sieve bound 1001 exceeds budget 1000"):
+        prime_class_counts([10, 1001], 30)
+    with pytest.raises(BudgetError, match="class-count table"):
+        prime_class_counts([1000], 10**6 + 3)
+
+
+@pytest.mark.parametrize("text", ["1e9", "-1", "", " 1000", "+1000", "10**8", "1_000",
+                                  "\u0661\u0662", "9" * 5000])
+def test_malformed_budget_is_named(monkeypatch, text):
+    monkeypatch.setenv("ADICERGO_MAX_N", text)
+    for count in (lambda: prime_count(10), lambda: primes_in_range(2, 10)):
+        with pytest.raises(ValueError, match="^ADICERGO_MAX_N must be a non-negative decimal"):
+            count()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adicergo import weyl
+from adicergo import primes, weyl
 
 from adicergo.adic import embed, eval_poly
 from adicergo.basis import parse_basis
@@ -342,3 +342,44 @@ def test_streamed_pass_holds_no_n_sized_array(run):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def sieve_passes(monkeypatch) -> list:
+    """The bound of every sieve pass that starts, from weyl or from primes."""
+    calls = []
+    sieve = primes.prime_segments
+    record = lambda hi: calls.append(hi) or sieve(hi)  # noqa: E731
+    monkeypatch.setattr(primes, "prime_segments", record)
+    monkeypatch.setattr(weyl, "prime_segments", record)
+    return calls
+
+
+def test_class_only_sweep_at_large_n_takes_the_recursion(monkeypatch):
+    calls = sieve_passes(monkeypatch)
+    n = 3 * 10**7
+    ((got_n, total, (counts,), sums),) = weyl._sweep("primes", [n], [30], [])
+    assert (got_n, total, sums) == (n, 1_857_859, [])
+    assert calls and max(calls) <= math.isqrt(n)
+    assert np.array_equal(counts, np.bincount(primes_in_range(2, n) % 30, minlength=30))
+
+
+@pytest.mark.parametrize("m, n", [(900, 10**6), (16384, 10**6), (27000, 10**6), (30, 2 * 10**4)])
+def test_sweep_keeps_the_sieve_where_it_is_cheaper(monkeypatch, m, n):
+    calls = sieve_passes(monkeypatch)
+    list(weyl._sweep("primes", [n], [m], []))
+    assert n in calls
+
+
+@pytest.mark.parametrize("moduli", [[1], [30], [8, 30], [2310]])
+def test_sweep_routes_agree(monkeypatch, moduli):
+    schedule = [10**6, 2, EDGE + 1, 10**5, 10**6, 3 * 10**5]
+
+    def sweep(cost):
+        monkeypatch.setattr(weyl, "_recursion_cost", lambda stops, m: cost)
+        return [(n, total, [c.copy() for c in counts], sums)
+                for n, total, counts, sums in weyl._sweep("primes", schedule, moduli, [])]
+
+    recursion, sieve = sweep(0.0), sweep(math.inf)
+    assert [row[:2] for row in recursion] == [row[:2] for row in sieve]
+    for (*_, a, _), (*_, b, _) in zip(recursion, sieve):
+        assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(a, b))
