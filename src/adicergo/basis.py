@@ -16,11 +16,12 @@ class BudgetError(RuntimeError):
 
 
 def _check_budget(n: int, limit: int, what: str = "vector length"):
-    """Refuse a size past its limit; one past 2^64 is named by its bit
-    length, since its decimal digits can be too many to print."""
+    """Refuse a size past its limit; one past 2^64 is named by its bit length,
+    beside the limit's, since its decimal digits can be too many to print."""
     if n > limit:
-        size = f"of {n.bit_length()} bits" if n > 1 << 64 else n
-        raise BudgetError(f"{what} {size} exceeds budget {limit}")
+        if n > 1 << 64:
+            n, limit = f"of {n.bit_length()} bits", f"{limit} ({limit.bit_length()} bits)"
+        raise BudgetError(f"{what} {n} exceeds budget {limit}")
 
 
 @dataclass(frozen=True)

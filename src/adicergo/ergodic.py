@@ -204,7 +204,7 @@ def cylinder_to_dict(f: CylinderFunction) -> dict:
 
 def cylinder_from_dict(doc: dict) -> CylinderFunction:
     """The inverse of cylinder_to_dict: the values as one (n, 2) array of
-    finite numbers, not strings, of finite sum |re| + |im|, viewed as complex."""
+    finite numbers (not strings or booleans) of finite sum |re| + |im|, as complex."""
     if type(doc["basis"]) is not str or type(doc["r"]) is not int:
         raise ValueError(f"function basis must be a string and r an int,"
                          f" not {doc['basis']!r} and {doc['r']!r}")
@@ -213,7 +213,8 @@ def cylinder_from_dict(doc: dict) -> CylinderFunction:
         pairs = np.array(doc["values"])
     except ValueError:  # a ragged list
         pairs = np.array(None)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "biuf":
+    if (pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iuf"
+            or bool in {type(x) for pair in doc["values"] for x in pair}):
         raise ValueError("function values must be a list of [re, im] number pairs")
     pairs = pairs.astype(np.float64)
     with np.errstate(over="ignore"):  # an overflowing sum is refused, not warned of

@@ -6,7 +6,6 @@ Rivat, Math. Comp. 65, 1996)."""
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Iterator
 
 import numpy as np
@@ -15,18 +14,8 @@ from .multipliers import MODULUS_CEILING, _check_budget, _prime_powers
 
 # odd numbers per segment: one flag each, so a segment spans 2 * _SEGMENT integers
 _SEGMENT = 1 << 20
-
-
-def sieve_budget() -> int:
-    """Upper bound on N for the primes, sieved or counted; override with
-    ADICERGO_MAX_N, a non-negative decimal integer."""
-    text = os.environ.get("ADICERGO_MAX_N", "100000000")
-    try:
-        if text.isascii() and text.isdigit():
-            return int(text)
-    except ValueError:  # past the digit limit of int()
-        pass
-    raise ValueError(f"ADICERGO_MAX_N must be a non-negative decimal integer, not {text!r}")
+SIEVE_LIMIT = 10**8  # the largest N sieved, or generated for a point-route sum
+RECURSION_LIMIT = 10**9  # the most work of the recursion, in integers sieved
 
 
 def prime_segments(hi: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -41,7 +30,7 @@ def prime_segments(hi: int) -> Iterator[tuple[int, np.ndarray]]:
     stands for 1: no base prime marks it, and its entry becomes 2, the one
     even prime.
     """
-    _check_budget(hi, sieve_budget(), "sieve bound")
+    _check_budget(hi, SIEVE_LIMIT, "sieve bound")
     if hi < 2:
         return
     # the odd base primes: the primes up to sqrt(hi), from this sieve, less 2
@@ -101,6 +90,14 @@ def _recursion_cost(stops: list[int], m: int) -> float:
     return 4 * (rows + 1) * updates + 2e5
 
 
+def _check_recursion(stops: list[int], moduli: list[int]):
+    """Refuse the class counts mod the moduli past a table or the work budget."""
+    for m in moduli:
+        _check_budget(math.prod(_table_shape(stops, m)), MODULUS_CEILING, "class-count table")
+    _check_budget(math.ceil(sum(_recursion_cost(stops, m) for m in moduli)), RECURSION_LIMIT,
+                  "class-count work")
+
+
 def _columns(vals: np.ndarray, low: int, v: np.ndarray) -> np.ndarray:
     """The columns of the floor values v, in place: v - 1 up to low, found
     among the larger ones past it."""
@@ -124,12 +121,11 @@ def prime_class_counts(stops: list[int], m: int) -> np.ndarray:
     (P + 1)^2 is final; the larger primes read only those and write only
     above, so they go in batches of about a quarter table width of columns
     (a prime's columns are not split).  The primes dividing m are added at
-    the end.  Both the sieve bound and the table size are checked before
-    anything is allocated.
+    the end.  Both the table size and the work are checked before anything
+    is allocated.
     """
+    _check_recursion(stops, [m])
     hi = max([0, *stops])
-    _check_budget(hi, sieve_budget(), "sieve bound")
-    _check_budget(math.prod(_table_shape(stops, m)), MODULUS_CEILING, "class-count table")
     out = np.zeros((len(stops), m), dtype=np.int64)
     if hi < 2:
         return out

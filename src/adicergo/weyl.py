@@ -16,8 +16,8 @@ from .multipliers import (MODULUS_CEILING, OrbitHistogram, _check_budget, _poly_
                           _scatter)
 # primes_in_range stays bound here: the benchmark's tests check that its
 # tracer puts weyl.primes_in_range back
-from .primes import (_recursion_cost, prime_class_counts, prime_segments,  # noqa: F401
-                     primes_in_range, sieve_budget)
+from .primes import (SIEVE_LIMIT, _check_recursion, _recursion_cost,  # noqa: F401
+                     prime_class_counts, prime_segments, primes_in_range)
 
 # points per block of a point-route sum, and naturals per piece: the 24 bytes
 # a point that are live while a block is summed (200 KB) stay in cache and
@@ -44,7 +44,7 @@ def _pieces(source: str, hi: int) -> Iterator[tuple[int, np.ndarray]]:
     if source == "primes":
         yield from prime_segments(hi)
         return
-    _check_budget(hi, sieve_budget(), "source bound")
+    _check_budget(hi, SIEVE_LIMIT, "source bound")
     for start in range(0, hi + 1, _CHUNK):
         end = min(start + _CHUNK - 1, hi)
         yield end, np.arange(max(start, 1), end + 1, dtype=np.int64)
@@ -74,7 +74,7 @@ def _sweep(source: str, n_schedule: list[int], moduli: list[int],
     Over the naturals the class counts are closed-form, and the pass runs
     only for phis.  Over the primes with no phi, the class counts come from
     the floor-value recursion instead, with no pass, when its estimated cost
-    (see primes._recursion_cost) is below the sieve's.
+    (primes._recursion_cost) is below the sieve's, or N is past the sieve's bound.
     """
     for n in n_schedule:
         _check_bound(source, n)
@@ -86,7 +86,8 @@ def _sweep(source: str, n_schedule: list[int], moduli: list[int],
             yield n, n, [_natural_counts(n, m) for m in moduli], []
         return
     if (source == "primes" and moduli and not phis
-            and sum(_recursion_cost(stops, m) for m in moduli) < stops[-1]):
+            and min(sum(_recursion_cost(stops, m) for m in moduli), SIEVE_LIMIT) < stops[-1]):
+        _check_recursion(stops, moduli)
         tables = [prime_class_counts(stops, m) for m in moduli]
         for i, n in enumerate(stops):
             yield n, int(tables[0][i].sum()), [t[i] for t in tables], []

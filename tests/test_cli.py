@@ -221,11 +221,18 @@ def test_huge_level_computes_its_modulus_once(monkeypatch, capsys):
     (["multiplier", "--basis", "const:3", "--char", "0@level:9999", "--rho", "0,0,1"],
      "character modulus of 15850 bits exceeds budget 10000 bits"),
     (["wiener", "--basis", "const:2", "--rho", "0,0,1", "--r-max", "80"],
-     "modulus of 82 bits exceeds budget 4194304"),
+     "modulus of 82 bits exceeds budget 4194304 (23 bits)"),
     (["weyl", "--basis", "const:2", "--char", "1@level:22", "--rho", "0,0,1"],
      "modulus 8388608 exceeds budget 4194304"),
     (["gauss", "--q", "40000003"], "modulus cofactor 40000003 exceeds budget 10000000"),
-], ids=["char-modulus", "max-modulus-huge", "max-modulus", "leaf"])
+    (["weyl", "--basis", "cycle:2,3,5", "--char", "1/30", "--rho", "0,0,7",
+      "--N", "1000,60000000000"], "class-count work 1934620785 exceeds budget 1000000000"),
+    (["weyl", "--basis", "const:2", "--char", "1@level:12", "--rho", "0,0,1",
+      "--N", "100000000000"], "class-count table 2590531584 exceeds budget 4194304"),
+    (["torus", "--beta", "0,0.1", "--N", "100000001"],
+     "sieve bound 100000001 exceeds budget 100000000"),
+], ids=["char-modulus", "max-modulus-huge", "max-modulus", "leaf", "recursion-work",
+        "recursion-table", "sieve"])
 def test_budgets_refuse_before_output(monkeypatch, capsys, argv, message):
     # a character modulus past the bit budget (3^10000, at a level within it)
     # was printed in decimal after the value, and a modulus A past 2^22 is
@@ -354,28 +361,26 @@ def test_memory_error_is_a_budget_exit(monkeypatch, capsys):
     assert "out of memory" in assert_one_error_line(capsys)
 
 
-@pytest.mark.parametrize("text", ["1e9", "-1"])
-def test_malformed_sieve_budget_is_named(monkeypatch, capsys, text):
-    monkeypatch.setenv("ADICERGO_MAX_N", text)
-    assert run(["weyl", "--basis", "const:2", "--char", "1/8", "--rho", "0,0,1",
-                "--N", "1000"]) == 1
-    assert f"ADICERGO_MAX_N must be a non-negative decimal integer, not {text!r}" in \
-        assert_one_error_line(capsys)
-
-
 def test_torus_naturals_checked_against_budget(monkeypatch, capsys):
-    monkeypatch.setenv("ADICERGO_MAX_N", "1000")
     aranges = []
     arange = np.arange
     monkeypatch.setattr(np, "arange", lambda *a, **k: aranges.append(a) or arange(*a, **k))
     # 0.1 is a dyadic of denominator 2^55: the sum runs over the points 1..N
-    assert run(["torus", "--beta", "0,0.1", "--N", "5000", "--source", "naturals"]) == 2
-    assert "budget" in assert_one_error_line(capsys)
+    assert run(["torus", "--beta", "0,0.1", "--N", "100000001", "--source", "naturals"]) == 2
+    assert "source bound 100000001 exceeds budget 100000000" in assert_one_error_line(capsys)
     assert aranges == []
     # 0.5 has denominator 2: the sum runs over the two classes, nothing N-sized
-    assert run(["torus", "--beta", "0,0.5", "--N", "5000", "--source", "naturals"]) == 0
-    assert capsys.readouterr().out.startswith("torus average N=5000: 0 + ")
+    assert run(["torus", "--beta", "0,0.5", "--N", "200000000", "--source", "naturals"]) == 0
+    assert capsys.readouterr().out.startswith("torus average N=200000000: 0 + ")
     assert aranges == [(2,)]
+
+
+def test_weyl_primes_past_the_sieve(capsys):
+    # the class counts mod 30 come from the recursion, which the sieve's
+    # bound does not cap
+    assert run(["weyl", "--basis", "cycle:2,3,5", "--char", "1/30", "--rho", "0,0,7",
+                "--N", "10000000000"]) == 0
+    assert capsys.readouterr().out.startswith("weyl sum N=10000000000: ")
 
 
 def test_weyl_naturals_at_huge_n(capsys):

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adicergo import primes
 from adicergo.multipliers import MODULUS_CEILING, BudgetError
-from adicergo.primes import (_SEGMENT, _table_shape, prime_class_counts, prime_count,
-                             primes_in_range)
+from adicergo.primes import (_SEGMENT, RECURSION_LIMIT, SIEVE_LIMIT, _recursion_cost,
+                             _table_shape, prime_class_counts, prime_count, primes_in_range)
 
 
 def trial_division_primes(lo, hi):
@@ -61,17 +63,17 @@ def test_ascending_and_range_respected():
     assert len(primes_in_range(20, 10)) == 0
 
 
-def test_budget_enforced(monkeypatch):
-    monkeypatch.setenv("ADICERGO_MAX_N", str(10**6))
-    with pytest.raises(BudgetError):
-        primes_in_range(2, 10**7)
+def test_budget_enforced():
+    with pytest.raises(BudgetError, match="^sieve bound 100000001 exceeds budget 100000000$"):
+        primes_in_range(2, SIEVE_LIMIT + 1)
 
 
-def test_env_budget(monkeypatch):
-    monkeypatch.setenv("ADICERGO_MAX_N", "1000")
+def test_sieve_limit_bounds_the_sieve_alone(monkeypatch):
+    # the recursion sieves only to the square root of N
+    monkeypatch.setattr(primes, "SIEVE_LIMIT", 1000)
     with pytest.raises(BudgetError):
         primes_in_range(2, 2000)
-    assert prime_count(1000) == 168
+    assert prime_count(10**6) == 78498
 
 
 @pytest.mark.parametrize("hi", [2, 3, 4, 2**21 - 1, 2**21, 2**21 + 1, 3 * 2**21 + 17])
@@ -138,21 +140,40 @@ def test_class_counts_edge_cases(m, stops):
 def test_exact_prime_counts():
     assert prime_count(3 * 10**7) == 1_857_859
     assert prime_count(10**8) == 5_761_455
+    assert prime_count(10**9) == 50_847_534  # past the sieve's bound
     assert [prime_count(n) for n in (-5, 0, 1, 2, 3, 4)] == [0, 0, 0, 1, 2, 2]
 
 
-def test_class_count_budgets(monkeypatch):
-    monkeypatch.setenv("ADICERGO_MAX_N", "1000")
-    with pytest.raises(BudgetError, match="sieve bound 1001 exceeds budget 1000"):
-        prime_class_counts([10, 1001], 30)
+def test_class_count_budgets():
     with pytest.raises(BudgetError, match="class-count table"):
         prime_class_counts([1000], 10**6 + 3)
+    with pytest.raises(BudgetError, match="class-count table"):
+        prime_class_counts([10**11], 30)
+    with pytest.raises(BudgetError, match="^class-count work 3185026201 exceeds budget"):
+        prime_class_counts([10**12], 1)
 
 
-@pytest.mark.parametrize("text", ["1e9", "-1", "", " 1000", "+1000", "10**8", "1_000",
-                                  "\u0661\u0662", "9" * 5000])
-def test_malformed_budget_is_named(monkeypatch, text):
-    monkeypatch.setenv("ADICERGO_MAX_N", text)
-    for count in (lambda: prime_count(10), lambda: primes_in_range(2, 10)):
-        with pytest.raises(ValueError, match="^ADICERGO_MAX_N must be a non-negative decimal"):
-            count()
+def test_class_counts_mod_30_past_the_sieve():
+    counts = prime_class_counts([10**10], 30)[0]
+    assert counts.sum() == 455_052_511
+    units = np.gcd(np.arange(30), 30) == 1
+    assert list(np.flatnonzero(np.where(units, 0, counts))) == [2, 3, 5]
+    assert counts[2] == counts[3] == counts[5] == 1
+
+
+def test_recursion_work_budget_edge():
+    # the largest second N of a schedule with pi(1e11) that the work budget
+    # admits runs; one more is refused before anything is allocated
+    lo, hi = 2, 10**11
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _recursion_cost([10**11, mid], 1) <= RECURSION_LIMIT else (lo, mid)
+    assert prime_class_counts([10**11, lo], 1)[0, 0] == 4_118_054_813
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=f"exceeds budget {RECURSION_LIMIT}$"):
+            prime_class_counts([10**11, lo + 1], 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

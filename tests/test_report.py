@@ -199,6 +199,22 @@ def test_malformed_function_file_is_refused(tmp_path, capsys, doc):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("values", [[[True, False], [False, True]], [[1, True], [0.5, 0]]],
+                         ids=["bool", "mixed"])
+def test_boolean_function_values_are_refused(tmp_path, capsys, values):
+    # numpy reads JSON true and false as 1 and 0, alone or among numbers
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"basis": "const:2", "r": 0, "values": values}))
+    for argv in (["average", "--N", "10"], ["limit"]):
+        assert main([*argv, "--function", str(path), "--rho", "0,0,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: function values must be a list of [re, im] number pairs\n"
+    numbers = [[float(x) for x in pair] for pair in values]
+    path.write_text(json.dumps({"basis": "const:2", "r": 0, "values": numbers}))
+    assert main(["limit", "--function", str(path), "--rho", "0,0,1"]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["gauss", "--q", "7"],
     ["multiplier", "--basis", "cycle:2,3,5", "--char", "7/30", "--rho", "0,0,1"],
