@@ -27,7 +27,23 @@ def _fmt(x: float) -> str:
 
 
 def _n_schedule(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be int values separated by ',', not {text!r}")
+
+
+def _values(text: str, flag: str, kind: type = int, sep: str = ",") -> list:
+    """The parts of a flag's text between seps, each read as kind; a malformed
+    or non-finite part is refused with the flag and the text."""
+    try:
+        values = [kind(v) for v in text.split(sep)]
+    except ValueError:
+        raise ValueError(f"{flag} must be {kind.__name__} values separated by {sep!r},"
+                         f" not {text!r}") from None
+    if kind is not int and not all(map(cmath.isfinite, values)):
+        raise ValueError(f"{flag} must be finite, not {text!r}")
+    return values
 
 
 # field -> (its flag, its default, the flag's argparse options), in the order
@@ -73,11 +89,7 @@ def _check_value(key: str, value):
 
 
 def _parsed_rho(cfg: argparse.Namespace, basis: Basis, r: int) -> list[AdicInt]:
-    try:
-        ints = [int(c) for c in cfg.rho.split(",")]
-    except ValueError:
-        raise ValueError(f"bad rho coefficients {cfg.rho!r}") from None
-    return [embed(c, basis, r) for c in ints]
+    return [embed(c, basis, r) for c in _values(cfg.rho, "--rho")]
 
 
 def _read_json(path: str):
@@ -154,9 +166,9 @@ def _json_default(v):
     raise TypeError(f"not serializable: {type(v)}")
 
 
-def _print_complex(label: str, z: complex):
-    print(f"{label}: {_fmt(z.real)} {'+' if z.imag >= 0 else '-'} {_fmt(abs(z.imag))}i"
-          f"  (abs {_fmt(abs(z))})")
+def _complex_line(label: str, z: complex) -> str:
+    return (f"{label}: {_fmt(z.real)} {'+' if z.imag >= 0 else '-'} {_fmt(abs(z.imag))}i"
+            f"  (abs {_fmt(abs(z))})")
 
 
 def _degree_notice(cfg: argparse.Namespace, rho: list[AdicInt]):
@@ -166,16 +178,14 @@ def _degree_notice(cfg: argparse.Namespace, rho: list[AdicInt]):
               " the reported value is still the character-sum limit", file=sys.stderr)
 
 
-def cmd_gauss(cfg: argparse.Namespace) -> int:
-    psi = [int(c) for c in cfg.psi.split(",")]
-    value = complete_exp_sum(psi, cfg.q)
-    _print_complex("complete exponential sum", value)
-    emit_report(cfg, {"q": [cfg.q], "re": [value.real], "im": [value.imag], "abs": [abs(value)]},
-                {"value": value, "magnitude": abs(value)})
-    return 0
+def cmd_gauss(cfg: argparse.Namespace) -> tuple:
+    value = complete_exp_sum(_values(cfg.psi, "--psi"), cfg.q)
+    return ([_complex_line("complete exponential sum", value)],
+            {"q": [cfg.q], "re": [value.real], "im": [value.imag], "abs": [abs(value)]},
+            {"value": value, "magnitude": abs(value)})
 
 
-def cmd_multiplier(cfg: argparse.Namespace) -> int:
+def cmd_multiplier(cfg: argparse.Namespace) -> tuple:
     basis = parse_basis(cfg.basis)
     chi = parse_character(cfg.char, basis)
     _check_bits(chi.modulus, "character modulus")  # the report writes it in decimal
@@ -183,24 +193,20 @@ def cmd_multiplier(cfg: argparse.Namespace) -> int:
     _degree_notice(cfg, rho)
     phase = reduce_phase(chi, rho)
     mult = multiplier_prime(phase) if cfg.kind == "prime" else multiplier_natural(phase)
-    _print_complex(f"{cfg.kind} multiplier (modulus {phase.modulus})", mult.value)
-    emit_report(cfg, {"char": [chi.spec_string()], "modulus": [phase.modulus],
-                      "re": [mult.value.real], "im": [mult.value.imag]},
-                {"multiplier": mult.value, "modulus": phase.modulus, "kind": cfg.kind})
-    return 0
+    return ([_complex_line(f"{cfg.kind} multiplier (modulus {phase.modulus})", mult.value)],
+            {"char": [chi.spec_string()], "modulus": [phase.modulus],
+             "re": [mult.value.real], "im": [mult.value.imag]},
+            {"multiplier": mult.value, "modulus": phase.modulus, "kind": cfg.kind})
 
 
-def cmd_weyl(cfg: argparse.Namespace) -> int:
+def cmd_weyl(cfg: argparse.Namespace) -> tuple:
     basis = parse_basis(cfg.basis)
     chi = parse_character(cfg.char, basis)
     rho = _parsed_rho(cfg, basis, chi.r)
     schedule = cfg.n_schedule or [10**4]
     sums = adic_weyl_sums(chi, rho, schedule, cfg.source)
-    for n, value in zip(schedule, sums):
-        _print_complex(f"weyl sum N={n}", value)
-    emit_report(cfg, _series_columns(schedule, sums),
-                {"char": chi.spec_string(), "source": cfg.source})
-    return 0
+    return ([_complex_line(f"weyl sum N={n}", value) for n, value in zip(schedule, sums)],
+            _series_columns(schedule, sums), {"char": chi.spec_string(), "source": cfg.source})
 
 
 def _series_columns(schedule: list[int], values: list[complex]) -> dict:
@@ -215,7 +221,7 @@ def _load_function(cfg: argparse.Namespace) -> CylinderFunction:
         raise ValueError(f"bad function file {cfg.function}: {exc!r}") from None
 
 
-def cmd_average(cfg: argparse.Namespace) -> int:
+def cmd_average(cfg: argparse.Namespace) -> tuple:
     f = _load_function(cfg)
     rho = _parsed_rho(cfg, f.basis, f.r)
     schedule = cfg.n_schedule or [10**4]
@@ -223,46 +229,36 @@ def cmd_average(cfg: argparse.Namespace) -> int:
         raise ValueError(f"average takes one N, not a schedule of {len(schedule)}")
     n = schedule[0]
     avg = empirical_average(f, rho, n, cfg.source)
-    emit_report(cfg, {"modulus": [f.modulus], "N": [n], "source": [cfg.source]},
-                {"result": cylinder_to_dict(avg), "N": n, "source": cfg.source})
-    print(f"averaged {f.modulus} residues at N={n} over {cfg.source}")
-    return 0
+    return ([f"averaged {f.modulus} residues at N={n} over {cfg.source}"],
+            {"modulus": [f.modulus], "N": [n], "source": [cfg.source]},
+            {"result": cylinder_to_dict(avg), "N": n, "source": cfg.source})
 
 
-def cmd_limit(cfg: argparse.Namespace) -> int:
+def cmd_limit(cfg: argparse.Namespace) -> tuple:
     f = _load_function(cfg)
     rho = _parsed_rho(cfg, f.basis, f.r)
     _degree_notice(cfg, rho)
     lim = predicted_limit(f, rho, cfg.kind)
-    emit_report(cfg, {"modulus": [lim.modulus], "kind": [cfg.kind]},
-                {"result": cylinder_to_dict(lim), "kind": cfg.kind})
-    print(f"predicted limit over {lim.modulus} residues ({cfg.kind} kind)")
-    return 0
+    return ([f"predicted limit over {lim.modulus} residues ({cfg.kind} kind)"],
+            {"modulus": [lim.modulus], "kind": [cfg.kind]},
+            {"result": cylinder_to_dict(lim), "kind": cfg.kind})
 
 
-def cmd_compare(cfg: argparse.Namespace) -> int:
+def cmd_compare(cfg: argparse.Namespace) -> tuple:
     f = _load_function(cfg)
     rho = _parsed_rho(cfg, f.basis, f.r)
     _degree_notice(cfg, rho)
     schedule = cfg.n_schedule or [10**3, 10**4, 10**5]
     report = compare(f, rho, schedule, cfg.kind)
-    for n, s, l in zip(schedule, report["sup_norm"], report["l2_norm"]):
-        print(f"N={n}: sup {_fmt(s)}  l2 {_fmt(l)}")
-    emit_report(cfg, {"N": schedule, "sup": report["sup_norm"], "l2": report["l2_norm"]}, report)
-    return 0
+    return ([f"N={n}: sup {_fmt(s)}  l2 {_fmt(l)}"
+             for n, s, l in zip(schedule, report["sup_norm"], report["l2_norm"])],
+            {"N": schedule, "sup": report["sup_norm"], "l2": report["l2_norm"]}, report)
 
 
-def _finite(text: str, flag: str, sep: str = ",", kind: type = float) -> list:
-    values = [kind(v) for v in text.split(sep)]
-    if not all(map(cmath.isfinite, values)):
-        raise ValueError(f"{flag} must be finite, not {text!r}")
-    return values
-
-
-def cmd_torus(cfg: argparse.Namespace) -> int:
-    beta = [_finite(comp, "--beta") for comp in cfg.beta.split(";")]
-    freqs = [tuple(int(m) for m in part.split(",")) for part in cfg.freqs.split(";")]
-    coeffs = _finite(cfg.coeffs, "--coeffs", ";", complex)
+def cmd_torus(cfg: argparse.Namespace) -> tuple:
+    beta = [_values(comp, "--beta", float) for comp in cfg.beta.split(";")]
+    freqs = [tuple(_values(part, "--freqs")) for part in cfg.freqs.split(";")]
+    coeffs = _values(cfg.coeffs, "--coeffs", complex, ";")
     if len(freqs) != len(coeffs):
         raise ValueError("--freqs and --coeffs must have the same length")
     if not cmath.isfinite(sum(map(abs, coeffs))):  # it bounds every average
@@ -270,30 +266,27 @@ def cmd_torus(cfg: argparse.Namespace) -> int:
     trig = {}  # a repeated frequency adds its coefficients
     for f, c in zip(freqs, coeffs):
         trig[f] = trig[f] + c if f in trig else c
-    x = tuple(_finite(cfg.x, "--x"))
+    x = tuple(_values(cfg.x, "--x", float))
     schedule = cfg.n_schedule or [10**4]
     averages = torus_averages(trig, beta, x, schedule, cfg.source)
-    for n, value in zip(schedule, averages):
-        _print_complex(f"torus average N={n}", value)
-    emit_report(cfg, _series_columns(schedule, averages), {"source": cfg.source})
-    return 0
+    return ([_complex_line(f"torus average N={n}", value) for n, value in zip(schedule, averages)],
+            _series_columns(schedule, averages), {"source": cfg.source})
 
 
-def cmd_wiener(cfg: argparse.Namespace) -> int:
+def cmd_wiener(cfg: argparse.Namespace) -> tuple:
     basis = parse_basis(cfg.basis)
     rho = _parsed_rho(cfg, basis, cfg.r_max)
     series = wiener_energy(basis, rho, cfg.r_max, cfg.kind)
     levels = [r for r, _ in series]
-    for r, w in series:
-        print(f"r={r}  A_r={basis.modulus(r)}  W_r={_fmt(w)}")
-    emit_report(cfg, {"r": levels, "A_r": [basis.modulus(r) for r in levels],
-                      "W_r": [w for _, w in series]},
-                {"kind": cfg.kind, "series": [[r, w] for r, w in series]})
-    return 0
+    return ([f"r={r}  A_r={basis.modulus(r)}  W_r={_fmt(w)}" for r, w in series],
+            {"r": levels, "A_r": [basis.modulus(r) for r in levels],
+             "W_r": [w for _, w in series]},
+            {"kind": cfg.kind, "series": [[r, w] for r, w in series]})
 
 
 # command -> (its function, the fields it requires, the other fields it reads);
-# a command takes the flags of exactly these fields, and --config
+# a command takes the flags of exactly these fields, and --config.  The function
+# returns its stdout lines, CSV columns and JSON summary, and prints nothing.
 _COMMANDS = {
     "gauss": (cmd_gauss, ("q",), ("psi", "out")),
     "multiplier": (cmd_multiplier, ("basis", "char", "rho"), ("kind", "out")),
@@ -308,11 +301,16 @@ _COMMANDS = {
 _REQUIRED_TEXT = {"function": "--function <file>"}  # the others read as their flag
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ValueError, which main reports as bad input."""
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built once per process."""
-    parser = argparse.ArgumentParser(prog="adicergo",
-                                     description="a-adic ergodic average experiments")
+    parser = _Parser(prog="adicergo", description="a-adic ergodic average experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, required, optional) in _COMMANDS.items():
         p = sub.add_parser(name)
@@ -324,18 +322,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command: 0 once its report is written and its lines printed; 1
+    for bad input or usage, 2 for a budget, with one error line and no stdout."""
     try:
-        return _COMMANDS[args.command][0](parse_config(args))
+        args = build_parser().parse_args(argv)
+        cfg = parse_config(args)
+        lines, columns, summary = _COMMANDS[args.command][0](cfg)
+        emit_report(cfg, columns, summary)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:  # bad input, bad JSON, unreadable files
+    except (ValueError, OSError) as exc:  # bad input and usage, bad JSON, unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print("\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

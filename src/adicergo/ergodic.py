@@ -39,19 +39,12 @@ class CylinderFunction:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(CylinderFunction):
     """Transform coefficients indexed by character numerator."""
 
-    basis: Basis
-    r: int
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=np.complex128)
-        object.__setattr__(self, "coefficients", coeffs)
-        if len(coeffs) != self.basis.modulus(self.r):
-            raise ValueError("coefficient vector length must equal the cumulative modulus")
+    @property
+    def coefficients(self) -> np.ndarray:
+        return self.values
 
 
 def dft(f: CylinderFunction) -> Spectrum:

@@ -277,10 +277,8 @@ def test_parser_built_once_per_process(monkeypatch, capsys):
     init = argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                         lambda self, *a, **k: progs.append(k.get("prog")) or init(self, *a, **k))
-    with pytest.raises(SystemExit) as exc:
-        run(["gauss", "--q", "5", "--basis", "const:2"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --basis const:2" in capsys.readouterr().err
+    assert run(["gauss", "--q", "5", "--basis", "const:2"]) == 1
+    assert "unrecognized arguments: --basis const:2" in assert_one_error_line(capsys)
     assert run(["gauss", "--q", "5"]) == 0
     assert "2.2360679" in capsys.readouterr().out
     assert progs == ["adicergo", *(f"adicergo {name}" for name in cli._COMMANDS)]
@@ -585,18 +583,65 @@ def test_empty_flag_is_refused(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv, message", [
     (["multiplier", "--basis", "const:2", "--char", "1/8", "--rho", "0,x"],
-     "bad rho coefficients '0,x'"),
+     "--rho must be int values separated by ',', not '0,x'"),
     (["multiplier", "--basis", "const:2", "--char", "9/8", "--rho", "0,1"],
      "numerator 9 out of range at level 2"),
     (["weyl", "--basis", "const:2", "--char", "1@foo:2", "--rho", "0,1"],
      "bad character suffix 'foo:2'"),
     (["torus", "--beta", "0,0.5", "--freqs", "1;2", "--coeffs", "1"],
      "--freqs and --coeffs must have the same length"),
+    # a malformed value named a private function or Python's conversion error
+    (["gauss", "--q", "5", "--psi", ",1"], "--psi must be int values separated by ',', not ',1'"),
+    (["torus", "--beta", ""], "--beta must be float values separated by ',', not ''"),
+    (["torus", "--beta", "0,0.5", "--x", ""], "--x must be float values separated by ',', not ''"),
+    (["torus", "--beta", "0,0.5", "--freqs", ""],
+     "--freqs must be int values separated by ',', not ''"),
+    (["torus", "--beta", "0,0.5", "--freqs", "1;a", "--coeffs", "1;1"],
+     "--freqs must be int values separated by ',', not 'a'"),
+    (["torus", "--beta", "0,0.5", "--freqs", "1;2", "--coeffs", "1;x"],
+     "--coeffs must be complex values separated by ';', not '1;x'"),
 ])
 def test_bad_input_returns_one(capsys, argv, message):
     # these raised SystemExit out of main; now main returns the exit code
     assert run(argv) == 1
     assert assert_one_error_line(capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gauss", "--q", "5", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["gauss", "--q", "5", "--basis", "const:2"], "unrecognized arguments: --basis const:2"),
+    (["multiplier", "--basis", "const:2", "--char", "1/8", "--rho", "0,0,1", "--kind", "primes"],
+     "argument --kind: invalid choice: 'primes' (choose from 'prime', 'natural')"),
+    (["gauss", "--q", "abc"], "argument --q: invalid int value: 'abc'"),
+    (["wiener", "--basis", "const:2", "--rho", "0,0,1", "--r-max", "1.5"],
+     "argument --r-max: invalid int value: '1.5'"),
+    (["weyl", "--basis", "const:2", "--char", "1/8", "--rho", "0,0,1", "--N", "1e5"],
+     "argument --N: must be int values separated by ',', not '1e5'"),
+    ([], "the following arguments are required: command"),
+], ids=["unknown-flag", "other-command-flag", "kind", "q", "r-max", "N", "no-command"])
+def test_usage_error_returns_one(tmp_path, capsys, argv, message):
+    # argparse printed its usage and raised SystemExit(2), the budget exit code
+    assert run([*argv, "--out", str(tmp_path / "o")] if argv else []) == 1
+    err = assert_one_error_line(capsys)
+    assert err == f"error: {message}\n" and "usage:" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["gauss", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: adicergo gauss ")
+
+
+@pytest.mark.parametrize("command", REQUIRED)
+def test_failed_write_prints_nothing(monkeypatch, tmp_path, capsys, command):
+    # every command printed its results before its report failed to write
+    monkeypatch.chdir(tmp_path)
+    write_function(tmp_path, "const:2", 2, np.ones(8))
+    argv = [command, *(x for flag_value in REQUIRED[command].items() for x in flag_value)]
+    assert run([*argv, "--out", str(tmp_path / "missing" / "o")]) == 1
+    assert "No such file or directory" in assert_one_error_line(capsys)
 
 
 @pytest.mark.parametrize("doc, argv", [
@@ -663,10 +708,8 @@ def test_char_modulus_found_by_bisection(monkeypatch, capsys):
 
 def test_unread_flag_is_refused(capsys):
     # every command took all nine common flags: gauss ran with an invalid basis
-    with pytest.raises(SystemExit) as exc:
-        run(["gauss", "--q", "5", "--basis", "const:1", "--kind", "natural", "--N", "5"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
+    assert run(["gauss", "--q", "5", "--basis", "const:1", "--kind", "natural", "--N", "5"]) == 1
+    err = assert_one_error_line(capsys)
     assert "unrecognized arguments: --basis const:1 --kind natural --N 5" in err
 
 
