@@ -146,17 +146,6 @@ def poly_mod(coeffs, modulus: int, points) -> np.ndarray:
     return acc.astype(np.int64, copy=False) if modulus <= 1 << 63 else acc
 
 
-def eval_poly(rho: list[AdicInt], n: int) -> AdicInt:
-    """Evaluate rho[0] + rho[1]*n + ... + rho[k]*n^k, entirely in residues."""
-    if not rho:
-        raise ValueError("empty coefficient list")
-    for c in rho[1:]:
-        _check_same(rho[0], c)
-    m = rho[0].modulus
-    v = poly_mod([c.v for c in rho], m, [n % m])[0]
-    return AdicInt(rho[0].basis, rho[0].r, int(v))
-
-
 def include_in_window(x: AdicInt, window: Basis) -> AdicInt:
     """Embed an offset-0 element into a window as the element with the same
     nonnegative digits and zero digits below position 0."""

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adic import AdicInt, poly_mod
+from .adic import AdicInt
 from .basis import _MODULUS_BITS_LIMIT, Basis
 
 
@@ -94,10 +94,6 @@ class ReducedPhase:
     coeffs: tuple[int, ...]
     constant: Fraction
     fractions: tuple[tuple[int, int], ...]
-
-    def phase_numerator(self, n: int) -> int:
-        """Polynomial phase at n, mod the modulus (constant excluded)."""
-        return int(poly_mod((0, *self.coeffs), self.modulus, [n % self.modulus])[0])
 
 
 def reduce_phase(chi: Character, rho: list[AdicInt]) -> ReducedPhase:

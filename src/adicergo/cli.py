@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import csv
 import functools
+import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -140,21 +143,29 @@ def emit_report(cfg: argparse.Namespace, columns: dict, summary: dict):
     """Write <out>.csv (one column per key of `columns`, a name mapped to a
     sequence, as csv.writer writes its rows, floats at 17 significant digits)
     and <out>.json (config echo plus summary, as compact json.dumps writes it,
-    complex numbers and vectors as [re, im] pairs), the JSON text first, so a
-    refusal writes no file."""
+    complex numbers and vectors as [re, im] pairs).  Both texts are built
+    before a file is opened, and a failed write removes every file this call
+    opened, so a report is written whole or not at all."""
     if cfg.out is None:
         return
     echo = {k: v for k, v in vars(cfg).items() if v is not None}
-    text = json.dumps({"config": echo, **summary}, default=_json_default)
+    text = json.dumps({"config": echo, **summary}, default=_json_default) + "\n"
     cells = [[_fmt(v) if isinstance(v, float) else v
               for v in (c.tolist() if isinstance(c, np.ndarray) else c)]
              for c in columns.values()]
-    with open(cfg.out + ".csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(zip(*cells))
-    with open(cfg.out + ".json", "w") as fh:
-        fh.write(text + "\n")
+    table = io.StringIO()
+    csv.writer(table).writerows([columns, *zip(*cells)])
+    opened = []
+    try:
+        for suffix, body, newline in ((".csv", table.getvalue(), ""), (".json", text, None)):
+            with open(cfg.out + suffix, "w", newline=newline) as fh:
+                opened.append(fh.name)
+                fh.write(body)
+    except BaseException:
+        for path in opened:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def _json_default(v):
@@ -171,13 +182,6 @@ def _complex_line(label: str, z: complex) -> str:
             f"  (abs {_fmt(abs(z))})")
 
 
-def _degree_notice(cfg: argparse.Namespace, rho: list[AdicInt]):
-    degree = max((j for j, c in enumerate(rho) if c.v != 0), default=0)
-    if cfg.kind == "prime" and degree < 2:
-        print("notice: polynomial degree < 2; prime-limit theory assumes degree >= 2,"
-              " the reported value is still the character-sum limit", file=sys.stderr)
-
-
 def cmd_gauss(cfg: argparse.Namespace) -> tuple:
     value = complete_exp_sum(_values(cfg.psi, "--psi"), cfg.q)
     return ([_complex_line("complete exponential sum", value)],
@@ -189,9 +193,7 @@ def cmd_multiplier(cfg: argparse.Namespace) -> tuple:
     basis = parse_basis(cfg.basis)
     chi = parse_character(cfg.char, basis)
     _check_bits(chi.modulus, "character modulus")  # the report writes it in decimal
-    rho = _parsed_rho(cfg, basis, chi.r)
-    _degree_notice(cfg, rho)
-    phase = reduce_phase(chi, rho)
+    phase = reduce_phase(chi, _parsed_rho(cfg, basis, chi.r))
     mult = multiplier_prime(phase) if cfg.kind == "prime" else multiplier_natural(phase)
     return ([_complex_line(f"{cfg.kind} multiplier (modulus {phase.modulus})", mult.value)],
             {"char": [chi.spec_string()], "modulus": [phase.modulus],
@@ -236,9 +238,7 @@ def cmd_average(cfg: argparse.Namespace) -> tuple:
 
 def cmd_limit(cfg: argparse.Namespace) -> tuple:
     f = _load_function(cfg)
-    rho = _parsed_rho(cfg, f.basis, f.r)
-    _degree_notice(cfg, rho)
-    lim = predicted_limit(f, rho, cfg.kind)
+    lim = predicted_limit(f, _parsed_rho(cfg, f.basis, f.r), cfg.kind)
     return ([f"predicted limit over {lim.modulus} residues ({cfg.kind} kind)"],
             {"modulus": [lim.modulus], "kind": [cfg.kind]},
             {"result": cylinder_to_dict(lim), "kind": cfg.kind})
@@ -247,7 +247,6 @@ def cmd_limit(cfg: argparse.Namespace) -> tuple:
 def cmd_compare(cfg: argparse.Namespace) -> tuple:
     f = _load_function(cfg)
     rho = _parsed_rho(cfg, f.basis, f.r)
-    _degree_notice(cfg, rho)
     schedule = cfg.n_schedule or [10**3, 10**4, 10**5]
     report = compare(f, rho, schedule, cfg.kind)
     return ([f"N={n}: sup {_fmt(s)}  l2 {_fmt(l)}"

@@ -29,7 +29,6 @@ MODULUS_CEILING = 1 << 22
 class MultiplierValue:
     value: complex
     modulus: int
-    kind: str  # "prime" | "natural"
 
 
 @dataclass(frozen=True)
@@ -240,7 +239,7 @@ def _multiplier(phase: ReducedPhase, kind: str) -> MultiplierValue:
     residues (natural kind), times the constant phase."""
     d = phase.modulus
     value = _mean(phase.coeffs, d, kind == "prime", "phase modulus")
-    return MultiplierValue(_constant_factor(phase) * value, d, kind)
+    return MultiplierValue(_constant_factor(phase) * value, d)
 
 
 def multiplier_prime(phase: ReducedPhase) -> MultiplierValue:
@@ -271,11 +270,14 @@ def wiener_energy(basis: Basis, rho: list[AdicInt], r_max: int,
     By Parseval the mean of |M(ell)|^2 over the A characters ell/A is the
     collision probability sum_c w(c)^2 of the limit distribution w, an exact
     ratio of integers that is rounded once.  Returns [(r, W_r), ...] for
-    every level r <= r_max.
+    every level r <= r_max.  The distribution is built once, at r_max, and
+    folded mod each lower A_r: the units (or all residues) mod A_rmax map
+    evenly onto those mod A_r, so a fold is a whole multiple of w at level r,
+    and the ratio is the same.
     """
-    _check_budget(basis.modulus(r_max), MODULUS_CEILING, "modulus")
-    out = []
-    for r in range(basis.offset, r_max + 1):
-        w = limit_distribution(basis, r, rho, kind)
-        out.append((r, int(np.dot(w.counts, w.counts)) / w.total ** 2))
-    return out
+    w = limit_distribution(basis, r_max, rho, kind)
+    counts, out = w.counts, []
+    for r in range(r_max, basis.offset - 1, -1):
+        counts = counts.reshape(-1, basis.modulus(r)).sum(axis=0)
+        out.append((r, int(np.dot(counts, counts)) / w.total ** 2))
+    return out[::-1]

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adicergo.adic import (AdicInt, Digits, add_carry, add_mod, embed,
-                           eval_poly, from_digits, include_in_window, mul,
-                           poly_mod, to_digits)
+                           from_digits, include_in_window, mul, poly_mod,
+                           to_digits)
 from adicergo.basis import parse_basis
 from adicergo.characters import Character, reduce_phase
 
@@ -83,7 +83,8 @@ def test_precision_reduction_commutes():
             assert op(x, y).reduce_to(1) == op(x.reduce_to(1), y.reduce_to(1))
         rho = [AdicInt(b, 2, rng.randrange(30)) for _ in range(3)]
         t = rng.randrange(100)
-        assert eval_poly(rho, t).reduce_to(1) == eval_poly([c.reduce_to(1) for c in rho], t)
+        value = AdicInt(b, 2, horner([c.v for c in rho], b.modulus(2), t))
+        assert value.reduce_to(1).v == horner([c.reduce_to(1).v for c in rho], b.modulus(1), t)
 
 
 def test_embed_is_ring_homomorphism():
@@ -95,14 +96,10 @@ def test_embed_is_ring_homomorphism():
 
 
 def test_eval_poly_examples():
-    sq = [embed(0, DYADIC, 2), embed(0, DYADIC, 2), embed(1, DYADIC, 2)]
-    assert eval_poly(sq, 3) == embed(1, DYADIC, 2)  # 9 mod 8
-    ident = [embed(0, DYADIC, 2), embed(1, DYADIC, 2)]
-    assert eval_poly(ident, 13) == embed(13, DYADIC, 2)
-    rho = [embed(c, MIXED, 2) for c in (1, 2, 3)]
-    assert eval_poly(rho, 4) == embed(27, MIXED, 2)  # 57 mod 30
-    with pytest.raises(ValueError, match="empty"):
-        eval_poly([], 1)
+    assert poly_mod([0, 0, 1], 8, [3]).tolist() == [1]  # 9 mod 8
+    assert poly_mod([0, 1], 8, [13]).tolist() == [5]
+    assert poly_mod([1, 2, 3], 30, [4]).tolist() == [27]  # 57 mod 30
+    assert poly_mod([], 30, [4]).tolist() == [0]
 
 
 def horner(coeffs, modulus, t):
@@ -147,9 +144,12 @@ def test_eval_poly_and_phase_past_int64(spec, r):
     rho = [embed(rng.randrange(a), basis, r) for _ in range(4)]
     chi = Character(basis, r, rng.randrange(a))
     phase = reduce_phase(chi, rho)
-    for n in [0, 1, 2**64 + 3, a - 1, -5, rng.randrange(a**2)]:
-        assert eval_poly(rho, n).v == horner([c.v for c in rho], a, n)
-        assert phase.phase_numerator(n) == horner((0, *phase.coeffs), phase.modulus, n)
+    ns = [0, 1, 2**64 + 3, a - 1, -5, rng.randrange(a**2)]
+    got = poly_mod([c.v for c in rho], a, [n % a for n in ns])
+    assert got.dtype == object and list(got) == [horner([c.v for c in rho], a, n) for n in ns]
+    d = phase.modulus
+    assert list(poly_mod((0, *phase.coeffs), d, [n % d for n in ns])) == [
+        horner((0, *phase.coeffs), d, n) for n in ns]
 
 
 def test_include_in_window():

@@ -56,10 +56,12 @@ def test_multiplier_trivial_character(capsys):
     assert out.startswith("prime multiplier (modulus 1): 1")
 
 
-def test_degree_one_notice(capsys):
+def test_degree_one_runs_like_any_degree(capsys):
+    # a degree-1 prime multiplier is the Ramanujan ratio mu(D)/phi(D)
     assert run(["multiplier", "--basis", "const:2", "--char", "1/8",
                 "--rho", "0,1", "--kind", "prime"]) == 0
-    assert "degree" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out.startswith("prime multiplier (modulus 8): 0 ") and captured.err == ""
 
 
 def test_validation_errors(capsys):
@@ -642,6 +644,26 @@ def test_failed_write_prints_nothing(monkeypatch, tmp_path, capsys, command):
     argv = [command, *(x for flag_value in REQUIRED[command].items() for x in flag_value)]
     assert run([*argv, "--out", str(tmp_path / "missing" / "o")]) == 1
     assert "No such file or directory" in assert_one_error_line(capsys)
+    assert not list(tmp_path.glob("**/o.*"))
+
+
+@pytest.mark.parametrize("blocked, left", [("o.json", "o.csv"), ("o.csv", "o.json")])
+def test_failed_write_leaves_no_report(monkeypatch, tmp_path, capsys, blocked, left):
+    # the CSV was written before the JSON was opened, so a failed JSON write
+    # left a whole CSV behind
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / blocked).mkdir()
+    assert run(["weyl", "--basis", "const:2", "--char", "1/8", "--rho", "0,0,1",
+                "--N", "1000", "--out", "o"]) == 1
+    assert f"Is a directory: '{blocked}'" in assert_one_error_line(capsys)
+    assert not (tmp_path / left).exists()
+
+
+def test_failed_compare_prints_one_line(tmp_path, capsys):
+    # a degree-1 compare printed a degree notice before its error line
+    path = write_function(tmp_path, "const:2", 2, np.ones(8))
+    assert run(["compare", "--function", path, "--rho", "0,1", "--N", "0"]) == 1
+    assert assert_one_error_line(capsys) == "error: no primes below 2\n"
 
 
 @pytest.mark.parametrize("doc, argv", [

@@ -351,6 +351,21 @@ def test_wiener_budget():
         wiener_energy(DYADIC, rho, 2, kind="bogus")
 
 
+@pytest.mark.parametrize("spec, r_max", [("cycle:2,3,5@offset:-1", 5), ("const:2@offset:-1", 12),
+                                         ("const:2", 12), ("list:3,2,7,2", 2)])
+@pytest.mark.parametrize("kind", KINDS)
+def test_wiener_fold_matches_each_level(spec, r_max, kind):
+    # one distribution at r_max, folded mod each A_r, gives the same rounded
+    # ratio as a distribution built at every level
+    basis = parse_basis(spec)
+    rho = [embed(c, basis, r_max) for c in (3, 1, 0, 5)]
+    levels = []
+    for r in range(basis.offset, r_max + 1):
+        w = multipliers.limit_distribution(basis, r, rho, kind)
+        levels.append((r, int(np.dot(w.counts, w.counts)) / w.total ** 2))
+    assert wiener_energy(basis, rho, r_max, kind) == levels
+
+
 def collision_probability(coeffs, a, kind):
     """Exact sum_c w(c)^2 for rho = sum_j coeffs[j] x^j, by brute force over
     the units (prime kind) or all residues (natural kind) mod a."""

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from adicergo import primes, weyl
 
-from adicergo.adic import embed, eval_poly
+from adicergo.adic import embed
 from adicergo.basis import parse_basis
 from adicergo.characters import Character, char_value, reduce_phase
 from adicergo.ergodic import torus_average
@@ -26,6 +26,14 @@ CYCLE = parse_basis("cycle:2,3,5")
 
 def square(basis, r):
     return [embed(c, basis, r) for c in (0, 0, 1)]
+
+
+def value_at(rho, n):
+    """rho(n) mod A by Horner's rule in Python ints."""
+    acc = 0
+    for c in reversed(rho):
+        acc = acc * n + c.v
+    return acc % rho[0].modulus
 
 
 def torus_sum(beta, n, source):
@@ -86,7 +94,7 @@ def test_histogram_matches_naive_sum():
         ns = primes_in_range(2, 10**4) if source == "primes" else range(1, 10**4 + 1)
         for ell in (1, 7, 13):
             chi = Character(CYCLE, 2, ell)
-            naive = sum(char_value(chi, eval_poly(rho, int(n)).v) for n in ns) / len(ns)
+            naive = sum(char_value(chi, value_at(rho, int(n))) for n in ns) / len(ns)
             fast = adic_weyl_sum(chi, rho, 10**4, source)
             assert abs(fast - naive) < 1e-12
 
@@ -142,7 +150,7 @@ def test_natural_histogram_matches_counted(basis, n):
     rho = [embed(c, basis, r) for c in (3, 1, 2)]
     hist = orbit_histogram(basis, r, rho, n, "naturals")
     values = np.arange(1, n + 1)
-    expected = np.bincount([eval_poly(rho, int(v)).v for v in values],
+    expected = np.bincount([value_at(rho, int(v)) for v in values],
                            minlength=basis.modulus(r))
     assert np.array_equal(hist.counts, expected) and hist.total == n
 
