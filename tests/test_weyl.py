@@ -1,20 +1,23 @@
 import cmath
 import math
+import os
+import signal
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adicergo import primes, weyl
+from adicergo import cli, primes, weyl
 
 from adicergo.adic import embed
 from adicergo.basis import parse_basis
 from adicergo.characters import Character, char_value, reduce_phase
-from adicergo.ergodic import torus_average
+from adicergo.ergodic import torus_average, torus_averages
 from adicergo.multipliers import BudgetError, multiplier_natural
 from adicergo.primes import _SEGMENT, primes_in_range
 from adicergo.weyl import (adic_weyl_sum, adic_weyl_sums, orbit_histogram,
@@ -251,18 +254,21 @@ def direct_phase_sums(phi, schedule, source):
 
 @settings(max_examples=100, deadline=None)
 @given(phase_cases())
+@example(([Fraction(1, 2**20)], "primes", [5, 5]))  # a den-2^53 draw reduced to 2^20
 def test_phase_sum_routes_agree(case):
     phi, source, schedule = case
     want = direct_phase_sums(phi, schedule, source)
     with mock.patch.object(weyl, "MODULUS_CEILING", 0):  # every phi point by point
         points = phase_sums(phi, schedule, source)
     assert max(abs(p - w) for p, w in zip(points, want)) < 1e-12
-    if weyl._denominator(phi) <= 2**12:
+    if weyl._denominator(phi) > weyl.MODULUS_CEILING:  # both runs take the point route
+        assert phase_sums(phi, schedule, source) == points
+    else:
+        # the class route divides a numpy complex by the count (by its
+        # reciprocal), the point route a Python complex: close, not bitwise
         classes = phase_sums(phi, schedule, source)
         assert max(abs(c - w) for c, w in zip(classes, want)) < 1e-12
         assert max(abs(c - p) for c, p in zip(classes, points)) < 1e-12
-    else:
-        assert phase_sums(phi, schedule, source) == points
 
 
 def test_rational_torus_sum_takes_the_class_route():
@@ -373,6 +379,8 @@ def test_class_only_sweep_at_large_n_takes_the_recursion(monkeypatch):
 @pytest.mark.parametrize("m, n", [(900, 10**6), (16384, 10**6), (27000, 10**6), (30, 2 * 10**4)])
 def test_sweep_keeps_the_sieve_where_it_is_cheaper(monkeypatch, m, n):
     calls = sieve_passes(monkeypatch)
+    # and a pass for class counts alone starts no pool of threads
+    monkeypatch.setattr(weyl, "_pool", lambda: pytest.fail("pool started"))
     list(weyl._sweep("primes", [n], [m], []))
     assert n in calls
 
@@ -390,3 +398,61 @@ def test_sweep_routes_agree(monkeypatch, moduli):
     assert [row[:2] for row in recursion] == [row[:2] for row in sieve]
     for (*_, a, _), (*_, b, _) in zip(recursion, sieve):
         assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("source", ["primes", "naturals"])
+def test_pool_size_changes_no_bit(monkeypatch, source):
+    # the block sums are added in block order whatever the pool's size: N
+    # where the count crosses a block edge (k * _CHUNK) and a task edge
+    # (4k * _CHUNK), at the end of the first sieve segment and past it
+    top = EDGE + 3001
+    points = primes_in_range(2, top) if source == "primes" else np.arange(1, top + 1)
+    counts = [k * weyl._CHUNK for k in (1, 3, weyl._TASK, 2 * weyl._TASK, 3 * weyl._TASK)]
+    schedule = [2, *(int(points[c + d - 1]) for c in counts for d in (-1, 0, 1)),
+                EDGE - 1, EDGE, EDGE + 1, top]
+    trig = {1: 1.0, 2: 0.5, 3: -1j}
+
+    def run():
+        return [*phase_sums(IRRATIONAL, schedule, source),
+                *torus_averages(trig, IRRATIONAL, 0.0, schedule, source)]
+
+    default = run()
+    with ThreadPoolExecutor(1) as one:
+        monkeypatch.setattr(weyl, "_pool", lambda: one)
+        single = run()
+    assert np.array_equal(np.array(single).view(np.uint64), np.array(default).view(np.uint64))
+
+
+def test_failed_block_task_is_one_error_line(monkeypatch, tmp_path, capsys):
+    # a MemoryError in one worker task of one phase reaches main as exit 2
+    beta = "0,0.6206792730020408,0.7198029204644897"
+    doubled = 2 * Fraction(float(beta.split(",")[1]))  # phi[1] of frequency 2
+    block = int(primes_in_range(2, 3 * 10**5)[3 * weyl._CHUNK])  # the last block
+    terms = weyl._terms
+
+    def exhausted(phi, points):
+        if phi[1] == doubled and points[0] == block:
+            raise MemoryError("Unable to allocate 128. KiB")
+        return terms(phi, points)
+
+    monkeypatch.setattr(weyl, "_terms", exhausted)
+    out = tmp_path / "o"
+    argv = ["torus", "--beta", beta, "--freqs", "1;2;3", "--coeffs", "1;1;1",
+            "--N", "100000,300000", "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: out of memory")
+    assert not list(tmp_path.glob("o.*"))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_forked_child_starts_its_own_pool():
+    # a forked child has none of its parent's pool threads: a task sent to
+    # the parent's pool would wait forever (the alarm ends the child)
+    want = phase_sums(IRRATIONAL, [10**5], "primes")
+    pid = os.fork()
+    if pid == 0:
+        signal.alarm(20)
+        os._exit(int(phase_sums(IRRATIONAL, [10**5], "primes") != want))
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
