@@ -12,7 +12,7 @@ from .ergodic import (CylinderFunction, Spectrum, compare, cylinder_from_dict,
                       predicted_limit, torus_average, torus_averages, translate)
 from .multipliers import (BudgetError, MultiplierValue, complete_exp_sum,
                           limit_distribution, multiplier_natural,
-                          multiplier_prime, wiener_energy)
+                          multiplier_prime, phase_limit, wiener_energy)
 from .primes import prime_count, primes_in_range
 from .weyl import (OrbitHistogram, adic_weyl_sum, adic_weyl_sums,
                    orbit_histogram, phase_sums)

@@ -109,6 +109,17 @@ def mul(x: AdicInt, y: AdicInt) -> AdicInt:
     return AdicInt(x.basis, x.r, (x.v * y.v) % x.modulus)
 
 
+def _check_poly(rho: list[AdicInt], basis: Basis, r: int):
+    """Refuse no coefficients, one of another basis, or one below precision r."""
+    if not rho:
+        raise ValueError("empty coefficient list")
+    for c in rho:
+        if c.basis != basis:
+            raise ValueError("basis mismatch in polynomial coefficients")
+        if c.r < r:
+            raise ValueError(f"coefficient precision {c.r} below level {r}")
+
+
 def poly_mod(coeffs, modulus: int, points) -> np.ndarray:
     """c_0 + c_1*t + ... + c_k*t^k mod m at every nonnegative integer point t,
     exact for every m >= 1, by one Horner loop in the arithmetic m sets:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adic import AdicInt
+from .adic import AdicInt, _check_poly
 from .basis import _MODULUS_BITS_LIMIT, Basis
 
 
@@ -95,29 +95,29 @@ class ReducedPhase:
     constant: Fraction
     fractions: tuple[tuple[int, int], ...]
 
+    @property
+    def phi(self) -> list[Fraction]:
+        """The phase, constant first: chi(rho(n)) = e(phi[0] + phi[1] n + ...)."""
+        return [self.constant, *(Fraction(c, self.modulus) for c in self.coeffs)]
+
+
+def _integer_phase(phi: list[Fraction]) -> tuple[int, list[int]]:
+    """(den, numerators): the lcm of the denominators of phi, and each
+    coefficient times den, so that phi = numerators / den."""
+    den = math.lcm(*(c.denominator for c in phi))
+    return den, [c.numerator * (den // c.denominator) for c in phi]
+
 
 def reduce_phase(chi: Character, rho: list[AdicInt]) -> ReducedPhase:
     """Reduce chi composed with the polynomial orbit to (D, coeffs, constant).
 
-    For each degree j >= 1 the fraction ell*v_j / A is put in lowest terms
-    m_j/B_j; D is the lcm of the B_j and the coefficient mod D is
-    m_j * (D / B_j).  The degree-0 term is kept as an exact fraction so the
+    The phase of chi(rho(n)) has the coefficients phi_j = ell*v_j / A, in
+    lowest terms m_j/B_j; D is the lcm of the B_j for j >= 1 and the
+    coefficient mod D is m_j * (D / B_j).  The degree-0 term is kept as an exact fraction so the
     identity  chi(rho(n)) = e(constant) * e(phase(n)/D)  holds for every n.
     """
-    if not rho:
-        raise ValueError("empty coefficient list")
-    for c in rho:
-        if c.basis != chi.basis:
-            raise ValueError("basis mismatch between character and coefficients")
-        if c.r < chi.r:
-            raise ValueError("coefficient precision below character level")
+    _check_poly(rho, chi.basis, chi.r)
     a = chi.modulus
-    fractions = []
-    for c in rho[1:]:
-        lj = (chi.ell * (c.v % a)) % a
-        g = math.gcd(lj, a)
-        fractions.append((lj // g, a // g))
-    d = math.lcm(*(b for _, b in fractions))
-    coeffs = tuple((m * (d // b)) % d for m, b in fractions)
-    constant = Fraction((chi.ell * (rho[0].v % a)) % a, a)
-    return ReducedPhase(d, coeffs, constant, tuple(fractions))
+    phi = [Fraction(chi.ell * c.v % a, a) for c in rho]
+    d, coeffs = _integer_phase(phi[1:])
+    return ReducedPhase(d, tuple(coeffs), phi[0], tuple(c.as_integer_ratio() for c in phi[1:]))

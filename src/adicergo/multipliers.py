@@ -6,12 +6,13 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .adic import AdicInt, poly_mod
+from .adic import AdicInt, _check_poly, poly_mod
 from .basis import _MODULUS_BITS_LIMIT, Basis, BudgetError, _check_budget
-from .characters import ReducedPhase, unit_phase
+from .characters import ReducedPhase, _integer_phase, unit_phase
 
 # the largest prime factor of a phase or Gauss modulus, whose residues are
 # summed as one vector of about 31 bytes a residue: 10^7 peaks at 333 MB and
@@ -48,13 +49,7 @@ def _poly_table(basis: Basis, r: int, rho: list[AdicInt]) -> np.ndarray:
     """rho mod A at every residue mod A, once A has met the budget."""
     a = basis.modulus(r)
     _check_budget(a, MODULUS_CEILING, "modulus")
-    if not rho:
-        raise ValueError("empty coefficient list")
-    for c in rho:
-        if c.basis != basis:
-            raise ValueError("basis mismatch in polynomial coefficients")
-        if c.r < r:
-            raise ValueError("coefficient precision below histogram precision")
+    _check_poly(rho, basis, r)
     return poly_mod([c.v for c in rho], a, np.arange(a, dtype=np.int64))
 
 
@@ -229,27 +224,27 @@ def _mean(coeffs, modulus: int, units: bool, what: str) -> complex:
     return value
 
 
-def _constant_factor(phase: ReducedPhase) -> complex:
-    c = phase.constant
-    return cmath.exp(2j * cmath.pi * (c.numerator % c.denominator) / c.denominator)
-
-
-def _multiplier(phase: ReducedPhase, kind: str) -> MultiplierValue:
-    """Mean of e(phase(m)/D) over the units mod D (prime kind) or over all
-    residues (natural kind), times the constant phase."""
-    d = phase.modulus
-    value = _mean(phase.coeffs, d, kind == "prime", "phase modulus")
-    return MultiplierValue(_constant_factor(phase) * value, d)
+def phase_limit(phi: list, kind: str) -> complex:
+    """The limit of the mean of e(phi(n)) over the primes (prime kind) or the
+    naturals up to N, for phi as in phase_sums: e(phi[0]) times the mean of
+    e(phi - phi[0]) over the units mod its denominator (the primes
+    equidistribute over them, by Dirichlet) or over all residues."""
+    if kind not in ("prime", "natural"):
+        raise ValueError(f"unknown multiplier kind {kind!r}")
+    c, *rest = [Fraction(x) for x in phi] or [Fraction(0)]  # an empty phi is 0, as in phase_sums
+    den, coeffs = _integer_phase(rest)
+    value = _mean(coeffs, den, kind == "prime", "phase modulus")
+    return cmath.exp(2j * cmath.pi * (c.numerator % c.denominator) / c.denominator) * value
 
 
 def multiplier_prime(phase: ReducedPhase) -> MultiplierValue:
     """The limit of the prime-indexed averages: the mean over the units mod D."""
-    return _multiplier(phase, "prime")
+    return MultiplierValue(phase_limit(phase.phi, "prime"), phase.modulus)
 
 
 def multiplier_natural(phase: ReducedPhase) -> MultiplierValue:
     """The limit of the natural-indexed averages: the mean over all residues."""
-    return _multiplier(phase, "natural")
+    return MultiplierValue(phase_limit(phase.phi, "natural"), phase.modulus)
 
 
 def complete_exp_sum(psi_coeffs: list[int], q: int) -> complex:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import math
 import os
 from collections.abc import Iterator
 from fractions import Fraction
@@ -13,7 +12,7 @@ import numpy as np
 
 from .adic import AdicInt, poly_mod
 from .basis import Basis
-from .characters import Character, reduce_phase
+from .characters import Character, _integer_phase, reduce_phase
 from .multipliers import (MODULUS_CEILING, OrbitHistogram, _check_budget, _poly_table,
                           _scatter)
 # primes_in_range stays bound here: the benchmark's tests check that its
@@ -154,8 +153,8 @@ def _torus_phases(coeffs: list[Fraction], values: np.ndarray) -> np.ndarray:
     denominator rounded to double once: by numpy when it is at most 2^53 (the
     cast is exact, the division rounds) or divides 2^64 (the cast rounds, the
     division is exact; every double of size >= 2^-12), else by int / int."""
-    den = _denominator(coeffs)
-    phases = poly_mod([c.numerator * (den // c.denominator) for c in coeffs], den, values)
+    den, numerators = _integer_phase(coeffs)
+    phases = poly_mod(numerators, den, values)
     if den > 1 << 53 and (1 << 64) % den:
         return np.array([v / den for v in phases.tolist()], dtype=np.float64)
     return phases.astype(np.float64) / den
@@ -202,10 +201,6 @@ def _terms(phi: list[Fraction], points: np.ndarray) -> np.ndarray:
     return np.exp(terms, out=terms)
 
 
-def _denominator(phi: list[Fraction]) -> int:
-    return math.lcm(*(c.denominator for c in phi))
-
-
 def _phase_sums(phis: list[list], n_schedule: list[int], source: str) -> dict[int, list]:
     """The normalized sums of e(phi(n)) over the source up to each N, for
     several phi(x) = phi[0] + phi[1] x + ... with rational coefficients, from
@@ -217,7 +212,7 @@ def _phase_sums(phis: list[list], n_schedule: list[int], source: str) -> dict[in
     e(phi) summed over the source piece by piece (see _sweep).
     """
     phis = [[Fraction(c) for c in phi] for phi in phis]
-    dens = [_denominator(phi) for phi in phis]
+    dens = [_integer_phase(phi)[0] for phi in phis]
     moduli = sorted({den for den in dens if den <= MODULUS_CEILING})
     point = [phi for phi, den in zip(phis, dens) if den > MODULUS_CEILING]
     # e(phi) on the residues of each class-route phi, computed once while they
@@ -249,11 +244,9 @@ def phase_sums(phi: list, n_schedule: list[int], source: str) -> list[complex]:
 def adic_weyl_sums(chi: Character, rho: list[AdicInt], n_schedule: list[int],
                    source: str) -> list[complex]:
     """Normalized sums of chi(rho(p)) over primes (or naturals) up to each N:
-    the phase sums of phi(x) = constant + sum_j c_j x^j / D from reduce_phase."""
+    the phase sums of the phi of reduce_phase."""
     _check_budget(chi.modulus, MODULUS_CEILING, "modulus")
-    phase = reduce_phase(chi, rho)
-    phi = [phase.constant, *(Fraction(c, phase.modulus) for c in phase.coeffs)]
-    return phase_sums(phi, n_schedule, source)
+    return phase_sums(reduce_phase(chi, rho).phi, n_schedule, source)
 
 
 def adic_weyl_sum(chi: Character, rho: list[AdicInt], n: int, source: str) -> complex:

@@ -609,6 +609,28 @@ def test_bad_input_returns_one(capsys, argv, message):
     assert assert_one_error_line(capsys) == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["multiplier", "--basis", "const:2,3", "--char", "1/8", "--rho", "0,0,1"], 1,
+     "const basis takes exactly one entry"),
+    (["multiplier", "--basis", "const:2@offset:1", "--char", "1/8", "--rho", "0,0,1"], 1,
+     "basis offset must be <= 0"),
+    (["multiplier", "--basis", "const:2", "--char", "7", "--rho", "0,0,1"], 1,
+     "bad character spec '7'"),
+    (["gauss", "--config", "{config}"], 1, "config file {config} is not a JSON object"),
+    (["torus", "--beta", "0,0.5", "--source", "naturals", "--N", "0"], 1, "need N >= 1"),
+    (["torus", "--beta", "0,0.5", "--freqs", "1;2,3", "--coeffs", "1;1"], 1,
+     "mixed frequency dimensions"),
+    (["torus", "--beta", "0,0.5", "--x", "0,0"], 1, "starting point dimension mismatch"),
+    (["gauss", "--q", str(2**1100)], 2, "modulus of 1101 bits is past the double range"),
+], ids=["const-entries", "offset", "char-spec", "config-list", "N-zero", "freq-dims",
+        "x-dims", "q-past-double"])
+def test_refusals_exit_with_one_error_line(tmp_path, capsys, argv, code, message):
+    config = tmp_path / "list.json"
+    config.write_text("[1]")
+    assert run([a.format(config=config) for a in argv]) == code
+    err = assert_one_error_line(capsys)
+    assert err == f"error: {message.format(config=config)}\n" and "Traceback" not in err
+
 @pytest.mark.parametrize("argv, message", [
     (["gauss", "--q", "5", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
     (["gauss", "--q", "5", "--basis", "const:2"], "unrecognized arguments: --basis const:2"),

@@ -18,7 +18,8 @@ from adicergo.ergodic import (CylinderFunction, compare, multiplier_table,
                               predicted_limit)
 from adicergo.multipliers import (BudgetError, complete_exp_sum,
                                   multiplier_natural, multiplier_prime,
-                                  wiener_energy)
+                                  phase_limit, wiener_energy)
+from adicergo.weyl import phase_sums
 
 DYADIC = parse_basis("const:2")
 
@@ -73,8 +74,8 @@ ORACLE_LEVEL = {"const:2": 14, "const:3": 8, "cycle:2,3,5": 8, "list:3,2,7,2": 3
 
 
 @st.composite
-def phase_cases(draw):
-    """A reduced phase of a random character and a rho of degree 1 to 4."""
+def character_cases(draw):
+    """A random character and a rho of degree 1 to 4 at its level."""
     text = draw(st.sampled_from(sorted(ORACLE_LEVEL)))
     basis = parse_basis(text)
     r = draw(st.integers(basis.offset, ORACLE_LEVEL[text]))
@@ -82,7 +83,12 @@ def phase_cases(draw):
     coeffs = draw(st.lists(st.integers(0, a - 1), min_size=1, max_size=4))
     coeffs.append(draw(st.integers(1, a - 1)))
     rho = [embed(c, basis, r) for c in coeffs]
-    return reduce_phase(Character(basis, r, draw(st.integers(0, a - 1))), rho)
+    return Character(basis, r, draw(st.integers(0, a - 1))), rho
+
+
+def phase_cases():
+    """The reduced phase of a character_cases draw."""
+    return character_cases().map(lambda case: reduce_phase(*case))
 
 
 @settings(max_examples=300, deadline=None)
@@ -91,6 +97,78 @@ def test_multiplier_matches_vector_mean(ph):
     # the CRT product of stationary-phase means against the D-sized vector
     assert abs(multiplier_prime(ph).value - vector_mean(ph, "prime")) <= 1e-14
     assert abs(multiplier_natural(ph).value - vector_mean(ph, "natural")) <= 1e-14
+
+
+@st.composite
+def rational_phases(draw):
+    """(den, numerators) of a phase phi = numerators / den of degree 0 to 4,
+    den <= 2^12, whose constant is not an integer."""
+    den = draw(st.integers(2, 2**12))
+    constant = draw(st.integers(1, den - 1))
+    return den, [constant, *draw(st.lists(st.integers(-2 * den, 2 * den), max_size=4))]
+
+
+def brute_mean(den, numerators, kind):
+    """The mean of e(phi(m)) over the units mod den (prime kind) or all
+    residues, with phi(m) reduced mod 1 in integers."""
+    sample = [m for m in range(den) if kind == "natural" or math.gcd(m, den) == 1]
+    return sum(e(sum(c * m**j for j, c in enumerate(numerators)) % den, den)
+               for m in sample) / len(sample)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_phases(), st.sampled_from(KINDS))
+def test_phase_limit_is_the_mean_over_the_sample(case, kind):
+    den, numerators = case
+    phi = [Fraction(c, den) for c in numerators]
+    assert abs(phase_limit(phi, kind) - brute_mean(den, numerators, kind)) < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(rational_phases(), st.integers(1, 3))
+def test_full_period_natural_sums_meet_the_limit(case, k):
+    den, numerators = case
+    phi = [Fraction(c, den) for c in numerators]
+    (got,) = phase_sums(phi, [k * den], "naturals")
+    assert abs(got - phase_limit(phi, "natural")) < 1e-12
+    assert phase_sums([], [k], "naturals") == [phase_limit([], "natural")] == [1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(character_cases())
+def test_multipliers_are_the_limit_of_the_reduced_phi(case):
+    chi, rho = case
+    ph, a = reduce_phase(chi, rho), chi.modulus
+    assert ph.phi == [Fraction(chi.ell * c.v % a, a) for c in rho]
+    for kind, mult in (("prime", multiplier_prime), ("natural", multiplier_natural)):
+        value = phase_limit(ph.phi, kind)
+        assert mult(ph).value == value and mult(ph).modulus == ph.modulus
+        # the D-sized mean of the coefficients mod D, times e(constant), to the bit
+        c = ph.constant
+        old = cmath.exp(2j * cmath.pi * (c.numerator % c.denominator) / c.denominator) * \
+            multipliers._mean(ph.coeffs, ph.modulus, kind == "prime", "phase modulus")
+        assert value == old
+
+
+def test_phase_limit_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown multiplier kind 'primes'"):
+        phase_limit([Fraction(1, 3)], "primes")
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("empty", "empty coefficient list"),
+    ("basis", "basis mismatch in polynomial coefficients"),
+    ("precision", "coefficient precision 2 below level 3"),
+])
+def test_polynomial_refusals(fault, message):
+    # reduce_phase and limit_distribution share one check of rho
+    rho = {"empty": [],
+           "basis": [embed(1, DYADIC, 3), embed(1, parse_basis("const:3"), 3)],
+           "precision": [embed(1, DYADIC, 3), embed(1, DYADIC, 2)]}[fault]
+    with pytest.raises(ValueError, match=message):
+        reduce_phase(Character(DYADIC, 3, 1), rho)
+    with pytest.raises(ValueError, match=message):
+        multipliers.limit_distribution(DYADIC, 3, rho, "prime")
 
 
 @pytest.mark.parametrize("u", [1, 2, 5, 7])

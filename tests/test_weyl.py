@@ -261,7 +261,7 @@ def test_phase_sum_routes_agree(case):
     with mock.patch.object(weyl, "MODULUS_CEILING", 0):  # every phi point by point
         points = phase_sums(phi, schedule, source)
     assert max(abs(p - w) for p, w in zip(points, want)) < 1e-12
-    if weyl._denominator(phi) > weyl.MODULUS_CEILING:  # both runs take the point route
+    if weyl._integer_phase(phi)[0] > weyl.MODULUS_CEILING:  # both runs take the point route
         assert phase_sums(phi, schedule, source) == points
     else:
         # the class route divides a numpy complex by the count (by its
@@ -316,7 +316,7 @@ def test_point_route_sum_inside_a_schedule(source, schedule):
     # an N inside a schedule gets the bits of a single-N run, N across
     # several pieces of the source and at the edge of a block of primes; both
     # stay near a correctly rounded sum
-    assert weyl._denominator(IRRATIONAL) > weyl.MODULUS_CEILING
+    assert weyl._integer_phase(IRRATIONAL)[0] > weyl.MODULUS_CEILING
     if source == "primes":
         block_end = int(primes_in_range(2, 10**5)[weyl._CHUNK - 1])
         schedule = [*schedule, block_end, block_end + 1, block_end - 1]
@@ -422,6 +422,22 @@ def test_pool_size_changes_no_bit(monkeypatch, source):
         single = run()
     assert np.array_equal(np.array(single).view(np.uint64), np.array(default).view(np.uint64))
 
+
+@pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+def test_pool_without_affinity_takes_the_cpu_count(monkeypatch, cpus, workers):
+    # where the platform has no os.sched_getaffinity, the pool has one thread
+    # per CPU that os.cpu_count() reports, or one when it reports none
+    want = phase_sums(IRRATIONAL, [10**5], "primes")
+    weyl._pool().shutdown()
+    weyl._pool.cache_clear()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    try:
+        assert weyl._pool()._max_workers == workers
+        assert phase_sums(IRRATIONAL, [10**5], "primes") == want
+    finally:
+        weyl._pool().shutdown()
+        weyl._pool.cache_clear()  # the next sum starts a pool of the usual size
 
 def test_failed_block_task_is_one_error_line(monkeypatch, tmp_path, capsys):
     # a MemoryError in one worker task of one phase reaches main as exit 2
