@@ -85,15 +85,12 @@ class ReducedPhase:
 
     ``coeffs`` are the degree-1..k phase coefficients mod ``modulus`` (the
     lcm of the reduced denominators); ``constant`` is the exact constant
-    phase in [0, 1) contributed by the degree-0 coefficient; ``fractions``
-    records the reduced numerator/denominator pairs the coefficients came
-    from.
+    phase in [0, 1) contributed by the degree-0 coefficient.
     """
 
     modulus: int
     coeffs: tuple[int, ...]
     constant: Fraction
-    fractions: tuple[tuple[int, int], ...]
 
     @property
     def phi(self) -> list[Fraction]:
@@ -120,4 +117,4 @@ def reduce_phase(chi: Character, rho: list[AdicInt]) -> ReducedPhase:
     a = chi.modulus
     phi = [Fraction(chi.ell * c.v % a, a) for c in rho]
     d, coeffs = _integer_phase(phi[1:])
-    return ReducedPhase(d, tuple(coeffs), phi[0], tuple(c.as_integer_ratio() for c in phi[1:]))
+    return ReducedPhase(d, tuple(coeffs), phi[0])

@@ -20,7 +20,7 @@ RECURSION_LIMIT = 10**9  # the most work of the recursion, in integers sieved
 
 def prime_segments(hi: int) -> Iterator[tuple[int, np.ndarray]]:
     """The primes up to hi, ascending, one segment at a time: for every
-    segment [k * 2 * _SEGMENT, (k + 1) * 2 * _SEGMENT) of a fixed grid up to
+    segment (k * 2 * _SEGMENT, (k + 1) * 2 * _SEGMENT] of a fixed grid up to
     hi, the pair (its last integer, cut at hi; its primes as int64).  The
     budget is checked before anything is sieved.
 
@@ -37,7 +37,7 @@ def prime_segments(hi: int) -> Iterator[tuple[int, np.ndarray]]:
     base = [p for _, primes in prime_segments(math.isqrt(hi)) for p in primes.tolist()][1:]
     buffer = np.empty(_SEGMENT, dtype=bool)  # the flags of every segment in turn
     for start in range(1, hi + 1, 2 * _SEGMENT):
-        end = min(start + 2 * _SEGMENT - 2, hi)
+        end = min(start + 2 * _SEGMENT - 1, hi)
         flags = buffer[:(end - start) // 2 + 1]
         flags[:] = True
         for p in base:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import os
 from collections.abc import Iterator
 from fractions import Fraction
@@ -20,10 +21,10 @@ from .multipliers import (MODULUS_CEILING, OrbitHistogram, _check_budget, _poly_
 from .primes import (SIEVE_LIMIT, _check_recursion, _recursion_cost,  # noqa: F401
                      prime_class_counts, prime_segments, primes_in_range)
 
-# points per block of a point-route sum, and naturals per piece: the 24 bytes
-# a point that are live while a worker sums a block (200 KB a worker) stay in
-# cache and below what the allocator returns to the system; the terms of a
-# whole sieve segment (3.7 MB) would be returned and faulted in afresh every time
+# points per block of a point-route sum: the 24 bytes a point that are live
+# while a worker sums a block (200 KB a worker) stay in cache and below what
+# the allocator returns to the system; the terms of a whole sieve segment
+# (3.7 MB) would be returned and faulted in afresh every time
 _CHUNK = 1 << 13
 # blocks per pool task: np.exp on one 8,192-point block scales 1.56x on two
 # threads, on four blocks 1.97x
@@ -60,13 +61,14 @@ def _check_bound(source: str, n: int):
 def _pieces(source: str, hi: int) -> Iterator[tuple[int, np.ndarray]]:
     """The source up to hi in the pieces of a fixed grid, ascending, as (the
     last integer a piece covers, its elements): the sieve's segments, or the
-    chunks [k * _CHUNK, (k + 1) * _CHUNK) of the naturals."""
+    naturals in [k * 2^17, (k + 1) * 2^17), 16 blocks (1 MB of int64, about a
+    segment's primes), so that the pool has several tasks a piece."""
     if source == "primes":
         yield from prime_segments(hi)
         return
     _check_budget(hi, SIEVE_LIMIT, "source bound")
-    for start in range(0, hi + 1, _CHUNK):
-        end = min(start + _CHUNK - 1, hi)
+    for start in range(0, hi + 1, 16 * _CHUNK):
+        end = min(start + 16 * _CHUNK - 1, hi)
         yield end, np.arange(max(start, 1), end + 1, dtype=np.int64)
 
 
@@ -88,9 +90,12 @@ def _sweep(source: str, n_schedule: list[int], moduli: list[int],
     block of e(phi) a pool thread (see _block_sums).  The count vectors are
     the running ones, so a snapshot is used before the pass goes on.
 
-    The sum at N adds, in ascending order, the sum of every whole piece below
-    N and then of the piece holding N cut at N, the steps of a pass that
-    stops at N: an N inside a schedule gets the bits of a single-N run.
+    The sum at N is the running sum of the whole pieces below N plus, in the
+    piece holding N, prefix[b] of _block_sums (its whole blocks before the
+    block b that holds N) plus block b cut at N, summed on the calling
+    thread.  A pass that stops at N ends its last piece and block at N and
+    takes the same steps, so an N inside a schedule gets the bits of a
+    single-N run.
     Over the naturals the class counts are closed-form, and the pass runs
     only for phis.  Over the primes with no phi, the class counts come from
     the floor-value recursion instead, with no pass, when its estimated cost
@@ -118,16 +123,19 @@ def _sweep(source: str, n_schedule: list[int], moduli: list[int],
     for end, piece in _pieces(source, stops[-1]):
         inside = stops[done:bisect.bisect_right(stops, end)]
         done += len(inside)
+        prefixes = _block_sums(phis, piece) if phis else []  # counts alone start no pool
         # the piece cut at each N inside it, then whole
         cuts = [*np.searchsorted(piece, inside, side="right").tolist(), len(piece)]
-        parts = _block_sums(phis, piece, cuts) if phis else []  # counts alone start no pool
         for i, (start, k) in enumerate(zip([0, *cuts], cuts)):
             for c in counts:
                 np.add.at(c, piece[start:k] % len(c), 1)
             if i < len(inside):
+                b = max(k - 1, 0) // _CHUNK  # the block that holds N
                 at_n = counts if sieved else [_natural_counts(inside[i], m) for m in moduli]
-                yield inside[i], total + k, at_n, [s + p[i] for s, p in zip(sums, parts)]
-        sums = [s + p[-1] for s, p in zip(sums, parts)]
+                yield inside[i], total + k, at_n, [
+                    s + (p[b] + _block_sum(phi, piece[b * _CHUNK:k]))
+                    for s, p, phi in zip(sums, prefixes, phis)]
+        sums = [s + p[-1] for s, p in zip(sums, prefixes)]
         total += len(piece)
 
 
@@ -160,39 +168,23 @@ def _torus_phases(coeffs: list[Fraction], values: np.ndarray) -> np.ndarray:
     return phases.astype(np.float64) / den
 
 
-def _block_sums(phis: list[list[Fraction]], points: np.ndarray,
-                cuts: list[int]) -> list[list[complex]]:
-    """For each phi, the sums of e(phi) over points[:k] for each k of the
-    ascending cuts: the sums of the whole blocks of _CHUNK points before k,
-    added in order, then of the block that holds k cut at k.  The points cut
-    at k give the same blocks, so the same bits.  The blocks of every phi go
-    to the pool, _TASK a task, before any task is waited on (after a failed
-    task, the pool's map starts no more); its size changes no bit."""
-    starts = range(0, max(len(points), 1), _CHUNK)
+def _block_sums(phis: list[list[Fraction]], points: np.ndarray) -> list[list[complex]]:
+    """For each phi, the prefix sums of its block sums: 0j, then the sum of
+    e(phi) over each block of _CHUNK points added in order.  The blocks of
+    every phi go to the pool, _TASK a task, before any task is waited on
+    (after a failed task, the pool's map starts no more); its size changes no bit."""
+    starts = range(0, len(points), _CHUNK)
     tasks = [starts[i:i + _TASK] for i in range(0, len(starts), _TASK)]
-    parts = _pool().map(functools.partial(_block_parts, points=points, cuts=cuts),
-                        [phi for phi in phis for _ in tasks], tasks * len(phis))
-    out = []
-    for _ in phis:
-        sums, done = [], 0j
-        for _ in tasks:
-            for cut_sums, whole in next(parts):
-                sums += [done + s for s in cut_sums]
-                done += whole
-        out.append(sums)
-    return out
+    blocks = itertools.chain.from_iterable(_pool().map(
+        lambda phi, task: [_block_sum(phi, points[s:s + _CHUNK]) for s in task],
+        [phi for phi in phis for _ in tasks], tasks * len(phis)))
+    return [list(itertools.accumulate(itertools.islice(blocks, len(starts)), initial=0j))
+            for _ in phis]
 
 
-def _block_parts(phi: list[Fraction], starts: range, points: np.ndarray,
-                 cuts: list[int]) -> list[tuple[list[complex], complex]]:
-    """For each block start: the sums of e(phi) over the block cut at each k
-    of the cuts that ends in it (k = 0 in the first), and over the whole block."""
-    parts = []
-    for start in starts:
-        terms = _terms(phi, points[start:start + _CHUNK])
-        ends = [k - start for k in cuts if max(k - 1, 0) // _CHUNK * _CHUNK == start]
-        parts.append(([complex(np.sum(terms[:e])) for e in ends], complex(np.sum(terms))))
-    return parts
+def _block_sum(phi: list[Fraction], points: np.ndarray) -> complex:
+    """The sum of e(phi) over the points of one block."""
+    return complex(np.sum(_terms(phi, points)))
 
 
 def _terms(phi: list[Fraction], points: np.ndarray) -> np.ndarray:

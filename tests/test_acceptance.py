@@ -102,7 +102,7 @@ def test_criterion_3_ramanujan_identity():
         m = 1 if d == 1 else rng.randrange(1, d)
         while math.gcd(m, d) != 1:
             m = rng.randrange(1, d)
-        phase = ReducedPhase(d, (m % d,), Fraction(0), ((m % d, d),))
+        phase = ReducedPhase(d, (m % d,), Fraction(0))
         g = multiplier_prime(phase).value
         phi, mu = _phi_mu_from_sieve(d, spf)
         worst = max(worst, abs(g - mu / phi))

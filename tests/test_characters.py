@@ -80,7 +80,6 @@ def test_reduce_phase_linear_example():
     rho = [embed(0, DYADIC, 2), embed(1, DYADIC, 2)]
     ph = reduce_phase(chi, rho)
     assert ph.modulus == 4 and ph.coeffs == (1,) and ph.constant == 0
-    assert ph.fractions == ((1, 4),)
 
 
 def test_reduce_phase_square_example():

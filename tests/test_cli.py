@@ -392,6 +392,30 @@ def test_weyl_naturals_at_huge_n(capsys):
                 "--source", "naturals", "--N", str(2**63)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["torus", "--beta", "0,0.6206792730020408"],
+    ["weyl", "--basis", "cycle:2,3,5", "--char", "7/900", "--rho", "0,0,1"],
+    ["compare", "--function", "f.json", "--rho", "0,0,1"],
+    ["average", "--function", "f.json", "--rho", "0,0,1"],
+], ids=lambda argv: argv[0])
+def test_n_at_a_sieve_segment_end(tmp_path, argv):
+    # 2^21, even, is the last integer of the first sieve segment: an N there
+    # is reached, with the bits of N - 1
+    fpath = write_function(tmp_path, "const:2", 13, np.random.default_rng(0).normal(size=2**14))
+    argv = [fpath if a == "f.json" else a for a in argv]
+    got = []
+    for n in (2**21 - 1, 2**21):
+        schedule = f"1000,{n}" if argv[0] == "compare" else str(n)
+        out = tmp_path / str(n)
+        assert run([*argv, "--N", schedule, "--out", str(out)]) == 0
+        rows = read_csv(f"{out}.csv")
+        column = rows[0].index("N")
+        doc = json.loads(Path(f"{out}.json").read_text())
+        got.append(([row[:column] + row[column + 1:] for row in rows],
+                    {k: v for k, v in doc.items() if k not in ("config", "N")}))
+    assert got[0] == got[1]
+
+
 def count_passes(monkeypatch) -> list:
     """The bound of every sieve pass that starts, with the sieve still run."""
     calls = []

@@ -49,8 +49,7 @@ def per_character(basis, r, rho, kind):
 
 
 def phase(d, coeffs, c=Fraction(0)):
-    fracs = tuple((g, d) for g in coeffs)
-    return ReducedPhase(d, tuple(coeffs), c, fracs)
+    return ReducedPhase(d, tuple(coeffs), c)
 
 
 def e(num, den):

@@ -286,8 +286,10 @@ def test_rational_torus_sum_takes_the_class_route():
     assert abs(got - (47619 * period + e(10, 21)) / 10**6) < 1e-12  # 10^6 = 47619*21 + 1
 
 
-# the first integer of the second sieve segment; the grid does not depend on N
+# the last integer of the first sieve segment; the grid does not depend on N
 EDGE = 2 * _SEGMENT
+# the first natural of the second piece of naturals, 16 blocks
+PIECE = 16 * weyl._CHUNK
 IRRATIONAL = [Fraction(0), Fraction(0.7071067811865476), Fraction(1.4142135623730951)]
 
 
@@ -309,8 +311,12 @@ def test_streamed_prime_class_counts(m):
 
 
 @pytest.mark.parametrize("source, schedule", [
-    ("primes", [EDGE + 3001, 10**6, EDGE - 1, EDGE + 3001, 2]),
-    ("naturals", [3 * weyl._CHUNK + 17, weyl._CHUNK, 100, weyl._CHUNK - 1, 1]),
+    # the first segment's last integers, and a second segment with no prime
+    # up to EDGE + 1 = 3 * 699,051, whose cut is at 0
+    ("primes", [EDGE + 3001, 10**6, EDGE - 1, EDGE + 3001, 2, EDGE, EDGE + 1]),
+    # a task edge, and the edge of the first piece
+    ("naturals", [3 * weyl._CHUNK + 17, weyl._CHUNK, 100, weyl._CHUNK - 1, 1,
+                  weyl._TASK * weyl._CHUNK, PIECE - 1, PIECE, PIECE + 1]),
 ])
 def test_point_route_sum_inside_a_schedule(source, schedule):
     # an N inside a schedule gets the bits of a single-N run, N across
@@ -403,11 +409,12 @@ def test_sweep_routes_agree(monkeypatch, moduli):
 @pytest.mark.parametrize("source", ["primes", "naturals"])
 def test_pool_size_changes_no_bit(monkeypatch, source):
     # the block sums are added in block order whatever the pool's size: N
-    # where the count crosses a block edge (k * _CHUNK) and a task edge
-    # (4k * _CHUNK), at the end of the first sieve segment and past it
+    # where the count crosses a block edge (k * _CHUNK), a task edge
+    # (4k * _CHUNK) and the edge of a piece of naturals (16 * _CHUNK), at the
+    # end of the first sieve segment and past it
     top = EDGE + 3001
     points = primes_in_range(2, top) if source == "primes" else np.arange(1, top + 1)
-    counts = [k * weyl._CHUNK for k in (1, 3, weyl._TASK, 2 * weyl._TASK, 3 * weyl._TASK)]
+    counts = [k * weyl._CHUNK for k in (1, 3, weyl._TASK, 2 * weyl._TASK, 3 * weyl._TASK, 16)]
     schedule = [2, *(int(points[c + d - 1]) for c in counts for d in (-1, 0, 1)),
                 EDGE - 1, EDGE, EDGE + 1, top]
     trig = {1: 1.0, 2: 0.5, 3: -1j}
