@@ -1,7 +1,6 @@
 """Defining sequences (a_i) for a-adic groups and their cumulative moduli."""
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -66,16 +65,14 @@ class Basis:
             raise IndexError(f"index {i} beyond explicit basis entries")
         return self.params[j]
 
-    @functools.lru_cache(maxsize=64)
     def modulus(self, r: int) -> int:
         """Cumulative modulus: the product a(offset) * ... * a(r).
 
         In closed form: for const and cycle the n = r - offset + 1 entries
         are whole periods of the parameters, rotated to start at the offset,
-        and then the first part of one more.  Computed once per (basis, r):
-        every AdicInt and Character reads its modulus, and at level 10^6 one
-        product takes a tenth of a second.  Every entry is at least 2, so A has
-        more than n bits, and an n past the bit budget is refused unmultiplied."""
+        and then the first part of one more.  Every entry is at least 2, so A
+        has more than n bits, and an n past the bit budget is refused
+        unmultiplied."""
         if r < self.offset:
             raise ValueError(f"precision {r} below basis offset {self.offset}")
         n = self.digit_count(r)

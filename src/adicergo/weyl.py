@@ -3,7 +3,7 @@ which Weyl sums of characters and torus sums both are, and orbit histograms."""
 from __future__ import annotations
 
 import bisect
-import functools
+import contextlib
 import itertools
 import os
 from collections.abc import Iterator
@@ -31,20 +31,12 @@ _CHUNK = 1 << 13
 _TASK = 4
 
 
-@functools.cache
-def _pool():
-    """The threads that sum point-route blocks, one per CPU this process may
-    run on, started once per process."""
-    from concurrent.futures import ThreadPoolExecutor  # off the import path
+def _workers() -> int:
+    """The threads of a pass's pool: one per CPU this process may run on."""
     try:
-        workers = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity on this platform
-        workers = os.cpu_count() or 1
-    return ThreadPoolExecutor(workers)
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
-    os.register_at_fork(after_in_child=_pool.cache_clear)
+        return os.cpu_count() or 1
 
 
 def _check_bound(source: str, n: int):
@@ -54,6 +46,7 @@ def _check_bound(source: str, n: int):
     elif source == "naturals":
         if n < 1:
             raise ValueError("need N >= 1")
+        _check_budget(n, int(np.iinfo(np.int64).max), "N")
     else:
         raise ValueError(f"unknown source {source!r}")
 
@@ -75,7 +68,6 @@ def _pieces(source: str, hi: int) -> Iterator[tuple[int, np.ndarray]]:
 def _natural_counts(n: int, m: int) -> np.ndarray:
     """The class counts mod m of 1..N, closed-form, O(m) for any N below
     2^63: N // m full periods, plus one for 1 <= c <= N mod m."""
-    _check_budget(n, int(np.iinfo(np.int64).max), "N")
     counts = np.full(m, n // m, dtype=np.int64)
     counts[1: n % m + 1] += 1
     return counts
@@ -87,8 +79,10 @@ def _sweep(source: str, n_schedule: list[int], moduli: list[int],
     elements up to N, their class counts mod each modulus, the sums of
     e(phi) over them for each phi).  Every N is checked first; then one pass
     over the source holds one piece, one count vector per modulus and one
-    block of e(phi) a pool thread (see _block_sums).  The count vectors are
-    the running ones, so a snapshot is used before the pass goes on.
+    block of e(phi) a pool thread (see _block_sums).  A pass with a phi
+    opens its own pool and shuts it down when it ends, finished, failed or
+    closed.  The count vectors are the running ones, so a snapshot is used
+    before the pass goes on.
 
     The sum at N is the running sum of the whole pieces below N plus, in the
     piece holding N, prefix[b] of _block_sums (its whole blocks before the
@@ -120,23 +114,26 @@ def _sweep(source: str, n_schedule: list[int], moduli: list[int],
     sieved = source == "primes"
     counts = [np.zeros(m, dtype=np.int64) for m in moduli] if sieved else []
     sums, total, done = [0j] * len(phis), 0, 0
-    for end, piece in _pieces(source, stops[-1]):
-        inside = stops[done:bisect.bisect_right(stops, end)]
-        done += len(inside)
-        prefixes = _block_sums(phis, piece) if phis else []  # counts alone start no pool
-        # the piece cut at each N inside it, then whole
-        cuts = [*np.searchsorted(piece, inside, side="right").tolist(), len(piece)]
-        for i, (start, k) in enumerate(zip([0, *cuts], cuts)):
-            for c in counts:
-                np.add.at(c, piece[start:k] % len(c), 1)
-            if i < len(inside):
-                b = max(k - 1, 0) // _CHUNK  # the block that holds N
-                at_n = counts if sieved else [_natural_counts(inside[i], m) for m in moduli]
-                yield inside[i], total + k, at_n, [
-                    s + (p[b] + _block_sum(phi, piece[b * _CHUNK:k]))
-                    for s, p, phi in zip(sums, prefixes, phis)]
-        sums = [s + p[-1] for s, p in zip(sums, prefixes)]
-        total += len(piece)
+    if phis:  # counts alone start no pool
+        from concurrent.futures import ThreadPoolExecutor  # off the import path
+    with ThreadPoolExecutor(_workers()) if phis else contextlib.nullcontext() as pool:
+        for end, piece in _pieces(source, stops[-1]):
+            inside = stops[done:bisect.bisect_right(stops, end)]
+            done += len(inside)
+            prefixes = _block_sums(pool, phis, piece) if phis else []
+            # the piece cut at each N inside it, then whole
+            cuts = [*np.searchsorted(piece, inside, side="right").tolist(), len(piece)]
+            for i, (start, k) in enumerate(zip([0, *cuts], cuts)):
+                for c in counts:
+                    np.add.at(c, piece[start:k] % len(c), 1)
+                if i < len(inside):
+                    b = max(k - 1, 0) // _CHUNK  # the block that holds N
+                    at_n = counts if sieved else [_natural_counts(inside[i], m) for m in moduli]
+                    yield inside[i], total + k, at_n, [
+                        s + (p[b] + _block_sum(phi, piece[b * _CHUNK:k]))
+                        for s, p, phi in zip(sums, prefixes, phis)]
+            sums = [s + p[-1] for s, p in zip(sums, prefixes)]
+            total += len(piece)
 
 
 def _orbit_histograms(basis: Basis, r: int, rho: list[AdicInt], n_schedule: list[int],
@@ -168,14 +165,14 @@ def _torus_phases(coeffs: list[Fraction], values: np.ndarray) -> np.ndarray:
     return phases.astype(np.float64) / den
 
 
-def _block_sums(phis: list[list[Fraction]], points: np.ndarray) -> list[list[complex]]:
+def _block_sums(pool, phis: list[list[Fraction]], points: np.ndarray) -> list[list[complex]]:
     """For each phi, the prefix sums of its block sums: 0j, then the sum of
     e(phi) over each block of _CHUNK points added in order.  The blocks of
     every phi go to the pool, _TASK a task, before any task is waited on
     (after a failed task, the pool's map starts no more); its size changes no bit."""
     starts = range(0, len(points), _CHUNK)
     tasks = [starts[i:i + _TASK] for i in range(0, len(starts), _TASK)]
-    blocks = itertools.chain.from_iterable(_pool().map(
+    blocks = itertools.chain.from_iterable(pool.map(
         lambda phi, task: [_block_sum(phi, points[s:s + _CHUNK]) for s in task],
         [phi for phi in phis for _ in tasks], tasks * len(phis)))
     return [list(itertools.accumulate(itertools.islice(blocks, len(starts)), initial=0j))

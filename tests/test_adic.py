@@ -7,11 +7,26 @@ from hypothesis import given, settings, strategies as st
 from adicergo.adic import (AdicInt, Digits, add_carry, add_mod, embed,
                            from_digits, include_in_window, mul, poly_mod,
                            to_digits)
-from adicergo.basis import parse_basis
+from adicergo.basis import Basis, parse_basis
 from adicergo.characters import Character, reduce_phase
 
 DYADIC = parse_basis("const:2")
 MIXED = parse_basis("list:2,3,5")
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: AdicInt(DYADIC, 2, 8), ValueError, "residue 8 out of range for precision 2"),
+    (lambda: AdicInt(DYADIC, 2, 1).reduce_to(3), ValueError, "cannot raise precision 2 to 3"),
+    (lambda: Digits(DYADIC, 2, (0, 1)), ValueError, "digit count does not match precision"),
+    (lambda: include_in_window(embed(1, DYADIC, 2), parse_basis("cycle:2,3@offset:-1")),
+     ValueError, "window does not extend the element's basis"),
+    (lambda: Basis("const", ()), ValueError, "basis needs at least one entry"),
+    (lambda: DYADIC.a(-1), IndexError, "index -1 below basis offset 0"),
+], ids=["residue", "reduce_to", "digits", "window", "basis", "index"])
+def test_refusals(refused, error, message):
+    with pytest.raises(error) as info:
+        refused()
+    assert str(info.value) == message
 
 
 def test_embed_examples():

@@ -293,6 +293,11 @@ def assert_one_error_line(capsys):
     return captured.err
 
 
+def test_precision_below_the_offset_is_one_error_line(capsys):
+    assert run(["wiener", "--basis", "const:2", "--rho", "0,0,1", "--r-max", "-1"]) == 1
+    assert assert_one_error_line(capsys) == "error: precision -1 below basis offset 0\n"
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert run(["gauss", "--q", "5", "--config", str(tmp_path / "none.json")]) == 1
     assert "none.json" in assert_one_error_line(capsys)

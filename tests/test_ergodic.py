@@ -287,6 +287,15 @@ def test_compare_constant_zero_distance():
     assert report["sup_nonincreasing"]
 
 
+@pytest.mark.parametrize("schedule, flag", [([1000, 10000, 100000], True), ([300, 400], False)])
+def test_compare_flag_ignores_the_schedule_order(schedule, flag):
+    # sup_nonincreasing reads the sups over the distinct N ascending: a
+    # schedule, its reverse and a shuffle with a repeat give the same flag
+    f = CylinderFunction(CYCLE, 2, np.random.default_rng(0).normal(size=30))
+    for order in (schedule, schedule[::-1], [schedule[-1], *schedule, schedule[0]]):
+        assert compare(f, square(CYCLE, 2), order, "prime")["sup_nonincreasing"] is flag
+
+
 def test_torus_average_constant_term():
     assert torus_average({0: 2.5 + 1j}, [0.0, 1.0], 0.3, 100, "primes") \
         == pytest.approx(2.5 + 1j)

@@ -2,8 +2,8 @@ import cmath
 import math
 import os
 import signal
+import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from unittest import mock
 
@@ -170,6 +170,20 @@ def test_natural_histogram_is_order_a_at_huge_n():
     assert abs(s - multiplier_natural(reduce_phase(chi, square(DYADIC, 2))).value) < 1e-12
     with pytest.raises(BudgetError):
         orbit_histogram(DYADIC, 2, square(DYADIC, 2), 2**63, "naturals")
+
+
+def test_naturals_bound_is_checked_before_the_pass():
+    # an N past 2^63 - 1 is refused with every other N of the schedule, before
+    # the class counts and terms mod 2^22 of its smaller N are allocated
+    chi, rho = Character(DYADIC, 21, 1), square(DYADIC, 21)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=f"^N {2**63} exceeds budget {2**63 - 1}$"):
+            adic_weyl_sums(chi, rho, [10, 2**63], "naturals")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_schedule_sums_equal_single_sums():
@@ -386,7 +400,7 @@ def test_class_only_sweep_at_large_n_takes_the_recursion(monkeypatch):
 def test_sweep_keeps_the_sieve_where_it_is_cheaper(monkeypatch, m, n):
     calls = sieve_passes(monkeypatch)
     # and a pass for class counts alone starts no pool of threads
-    monkeypatch.setattr(weyl, "_pool", lambda: pytest.fail("pool started"))
+    monkeypatch.setattr(weyl, "_workers", lambda: pytest.fail("pool started"))
     list(weyl._sweep("primes", [n], [m], []))
     assert n in calls
 
@@ -424,9 +438,8 @@ def test_pool_size_changes_no_bit(monkeypatch, source):
                 *torus_averages(trig, IRRATIONAL, 0.0, schedule, source)]
 
     default = run()
-    with ThreadPoolExecutor(1) as one:
-        monkeypatch.setattr(weyl, "_pool", lambda: one)
-        single = run()
+    monkeypatch.setattr(weyl, "_workers", lambda: 1)
+    single = run()
     assert np.array_equal(np.array(single).view(np.uint64), np.array(default).view(np.uint64))
 
 
@@ -435,19 +448,30 @@ def test_pool_without_affinity_takes_the_cpu_count(monkeypatch, cpus, workers):
     # where the platform has no os.sched_getaffinity, the pool has one thread
     # per CPU that os.cpu_count() reports, or one when it reports none
     want = phase_sums(IRRATIONAL, [10**5], "primes")
-    weyl._pool().shutdown()
-    weyl._pool.cache_clear()
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    try:
-        assert weyl._pool()._max_workers == workers
-        assert phase_sums(IRRATIONAL, [10**5], "primes") == want
-    finally:
-        weyl._pool().shutdown()
-        weyl._pool.cache_clear()  # the next sum starts a pool of the usual size
+    assert weyl._workers() == workers
+    assert phase_sums(IRRATIONAL, [10**5], "primes") == want
+
+
+def test_a_pass_leaves_no_thread(monkeypatch):
+    # a pass with a point-route phase runs its blocks on threads of its own
+    # and shuts them down when it ends, run to the end or closed by its consumer
+    before, seen, terms = threading.active_count(), [], weyl._terms
+    monkeypatch.setattr(weyl, "_terms", lambda phi, points: seen.append(
+        threading.active_count()) or terms(phi, points))
+    torus_averages({1: 1.0, 2: 0.5}, IRRATIONAL, 0.0, [10**5], "primes")
+    assert max(seen) > before and threading.active_count() == before
+    sweep = weyl._sweep("naturals", [10**5, 10**6], [], [IRRATIONAL])
+    next(sweep)
+    sweep.close()
+    assert threading.active_count() == before
+
 
 def test_failed_block_task_is_one_error_line(monkeypatch, tmp_path, capsys):
-    # a MemoryError in one worker task of one phase reaches main as exit 2
+    # a MemoryError in one worker task of one phase reaches main as exit 2,
+    # and the failed pass leaves none of its pool's threads
+    before = threading.active_count()
     beta = "0,0.6206792730020408,0.7198029204644897"
     doubled = 2 * Fraction(float(beta.split(",")[1]))  # phi[1] of frequency 2
     block = int(primes_in_range(2, 3 * 10**5)[3 * weyl._CHUNK])  # the last block
@@ -467,6 +491,7 @@ def test_failed_block_task_is_one_error_line(monkeypatch, tmp_path, capsys):
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("error: out of memory")
     assert not list(tmp_path.glob("o.*"))
+    assert threading.active_count() == before
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
