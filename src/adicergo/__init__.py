@@ -4,7 +4,7 @@ multipliers, prime Weyl sums, and the multiplier-predicted limits."""
 
 from .adic import (AdicInt, Digits, add_carry, add_mod, embed, from_digits,
                    include_in_window, mul, poly_mod, to_digits)
-from .basis import Basis, parse_basis
+from .basis import BUDGETS, Basis, parse_basis
 from .characters import (Character, ReducedPhase, char_value, parse_character,
                          reduce_phase, unit_phase)
 from .ergodic import (CylinderFunction, Spectrum, compare, cylinder_from_dict,

@@ -3,22 +3,41 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-# the largest bit length of a phase, Gauss or character modulus: rho = n^2 over
-# all residues of const:2 goes 5,000 levels deep there, in about 0.25 s on a
-# 2-vCPU Xeon VM, and it still prints in decimal (Python stops at 4,300 digits)
-_MODULUS_BITS_LIMIT = 10_000
+
+class Budget(NamedTuple):
+    limit: int
+    unit: str
+
+
+# every size limit, checked by _check_budget before the work it sizes; README's
+# budget table says what each bounds and prices it
+BUDGETS = {
+    "sieve": Budget(10**8, "bound N"),  # primes sieved, or naturals summed point by point
+    "recursion": Budget(10**9, "integers sieved"),  # primes._recursion_cost's estimate
+    "vector": Budget(1 << 22, "residues"),  # A, a class-route den, the class-count table
+    "leaf": Budget(10**7, "residues"),  # a prime factor of a phase or Gauss modulus
+    "shifts": Budget(1 << 28, "shifts"),  # occupied classes times A of a shift average
+    "bits": Budget(10_000, "bits"),  # a modulus within it still prints in decimal
+    "naturals": Budget(2**63 - 1, "bound N"),  # the int64 counts of the naturals
+}
 
 
 class BudgetError(RuntimeError):
     """A work budget would be exceeded."""
 
 
-def _check_budget(n: int, limit: int, what: str = "vector length"):
-    """Refuse a size past its limit; one past 2^64 is named by its bit length,
-    beside the limit's, since its decimal digits can be too many to print."""
+def _check_budget(n: int, entry: str, what: str, noun: str = "bits"):
+    """Refuse a size n past the limit of its BUDGETS entry.  A count against
+    the bit budget reads "of n bits" (or digits); any other size past 2^64 is
+    named by its bit length, beside the limit's, since its decimal digits can
+    be too many to print."""
+    limit, unit = BUDGETS[entry]
     if n > limit:
-        if n > 1 << 64:
+        if unit == "bits":
+            n, limit = f"of {n} {noun}", f"{limit} bits"
+        elif n > 1 << 64:
             n, limit = f"of {n.bit_length()} bits", f"{limit} ({limit.bit_length()} bits)"
         raise BudgetError(f"{what} {n} exceeds budget {limit}")
 
@@ -78,8 +97,7 @@ class Basis:
         n = self.digit_count(r)
         if self.kind == "list" and n > len(self.params):
             raise ValueError(f"precision {r} beyond the entries of basis {self.spec_string()}")
-        if n > _MODULUS_BITS_LIMIT:
-            raise BudgetError(f"level {r} of {n} digits exceeds budget {_MODULUS_BITS_LIMIT} bits")
+        _check_budget(n, "bits", f"level {r}", "digits")
         if self.kind == "list":
             return math.prod(self.params[:n])
         k = self.offset % len(self.params)

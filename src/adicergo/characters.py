@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .adic import AdicInt, _check_poly
-from .basis import _MODULUS_BITS_LIMIT, Basis
+from .basis import BUDGETS, Basis
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def parse_character(text: str, basis: Basis) -> Character:
         head, _, tail = text.partition("/")
         ell, a = int(head), int(tail)
         lo = basis.offset
-        hi = lo + min(a.bit_length(), _MODULUS_BITS_LIMIT)
+        hi = lo + min(a.bit_length(), BUDGETS["bits"].limit)
         if basis.kind == "list":
             hi = min(hi, lo + len(basis.params) - 1)
         while lo < hi:

@@ -15,13 +15,13 @@ import sys
 import numpy as np
 
 from .adic import AdicInt, embed
-from .basis import Basis, parse_basis
+from .basis import Basis, _check_budget, parse_basis
 from .characters import parse_character, reduce_phase
 from .ergodic import (CylinderFunction, compare, cylinder_from_dict,
                       cylinder_to_dict, empirical_average, predicted_limit,
                       torus_averages)
-from .multipliers import (BudgetError, _check_bits, complete_exp_sum, multiplier_natural,
-                          multiplier_prime, wiener_energy)
+from .multipliers import (BudgetError, complete_exp_sum, multiplier_natural, multiplier_prime,
+                          wiener_energy)
 from .weyl import adic_weyl_sums
 
 
@@ -192,7 +192,7 @@ def cmd_gauss(cfg: argparse.Namespace) -> tuple:
 def cmd_multiplier(cfg: argparse.Namespace) -> tuple:
     basis = parse_basis(cfg.basis)
     chi = parse_character(cfg.char, basis)
-    _check_bits(chi.modulus, "character modulus")  # the report writes it in decimal
+    _check_budget(chi.modulus.bit_length(), "bits", "character modulus")  # written in decimal
     phase = reduce_phase(chi, _parsed_rho(cfg, basis, chi.r))
     mult = multiplier_prime(phase) if cfg.kind == "prime" else multiplier_natural(phase)
     return ([_complex_line(f"{cfg.kind} multiplier (modulus {phase.modulus})", mult.value)],

@@ -9,14 +9,10 @@ from fractions import Fraction
 import numpy as np
 
 from .adic import AdicInt
-from .basis import Basis, parse_basis
+from .basis import Basis, _check_budget, parse_basis
 from .characters import unit_phase
-from .multipliers import MODULUS_CEILING, OrbitHistogram, _check_budget, limit_distribution
+from .multipliers import OrbitHistogram, limit_distribution
 from .weyl import _orbit_histograms, _phase_sums, orbit_histogram
-
-# the most shifts of an empirical average, occupied classes times A: 2^28
-# take about 1.2 s at A = 2^17 (4.4 ns a shift) on a 2-vCPU Xeon VM
-_SHIFT_BUDGET = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -49,13 +45,13 @@ class Spectrum(CylinderFunction):
 
 def dft(f: CylinderFunction) -> Spectrum:
     """Coefficient at ell is the mean of f against the conjugate character."""
-    _check_budget(f.modulus, MODULUS_CEILING)
+    _check_budget(f.modulus, "vector", "vector length")
     return Spectrum(f.basis, f.r, np.fft.fft(f.values) / f.modulus)
 
 
 def idft(spec: Spectrum) -> CylinderFunction:
     n = len(spec.coefficients)
-    _check_budget(n, MODULUS_CEILING)
+    _check_budget(n, "vector", "vector length")
     return CylinderFunction(spec.basis, spec.r, np.fft.ifft(spec.coefficients) * n)
 
 
@@ -80,7 +76,7 @@ def empirical_average(f: CylinderFunction, rho: list[AdicInt], n: int,
 def _shift_average(f: CylinderFunction, hist: OrbitHistogram) -> CylinderFunction:
     a = f.modulus
     occupied = np.flatnonzero(hist.counts)
-    _check_budget(len(occupied) * a, _SHIFT_BUDGET, "shift average work")
+    _check_budget(len(occupied) * a, "shifts", "shift average work")
     twice = np.concatenate((f.values, f.values))
     out = np.zeros(a, dtype=np.complex128)
     term = np.empty(a, dtype=np.complex128)

@@ -11,20 +11,11 @@ from fractions import Fraction
 import numpy as np
 
 from .adic import AdicInt, _check_poly, poly_mod
-from .basis import _MODULUS_BITS_LIMIT, Basis, BudgetError, _check_budget
+from .basis import BUDGETS, Basis, BudgetError, _check_budget
 from .characters import ReducedPhase, _integer_phase, unit_phase
 
-# the largest prime factor of a phase or Gauss modulus, whose residues are
-# summed as one vector of about 31 bytes a residue: 10^7 peaks at 333 MB and
-# takes 1.4 s on a 2-vCPU Xeon VM; moduli are factored by trial division up
-# to its root
-_VECTOR_MODULUS_LIMIT = 10_000_000
-_TRIAL_LIMIT = math.isqrt(_VECTOR_MODULUS_LIMIT)
-# the largest modulus A of an orbit distribution, and the vector budget of a
-# phase sum's class route: `weyl` at A = 2^22 peaks at 190 MB in 1 s, `wiener`
-# to 2^22 at 174 MB in 2.7 s, on a 2-vCPU Xeon VM
-MODULUS_CEILING = 1 << 22
-
+# moduli are factored by trial division up to the root of the leaf budget
+_TRIAL_LIMIT = math.isqrt(BUDGETS["leaf"].limit)
 
 @dataclass(frozen=True)
 class MultiplierValue:
@@ -48,7 +39,7 @@ class OrbitHistogram:
 def _poly_table(basis: Basis, r: int, rho: list[AdicInt]) -> np.ndarray:
     """rho mod A at every residue mod A, once A has met the budget."""
     a = basis.modulus(r)
-    _check_budget(a, MODULUS_CEILING, "modulus")
+    _check_budget(a, "vector", "modulus")
     _check_poly(rho, basis, r)
     return poly_mod([c.v for c in rho], a, np.arange(a, dtype=np.int64))
 
@@ -85,19 +76,12 @@ def _exp_sum(coeffs, modulus: int, residues: np.ndarray) -> complex:
     return complex(np.sum(np.exp(phases, out=phases)))
 
 
-def _check_bits(n: int, what: str):
-    """Refuse a modulus past the bit budget."""
-    if n.bit_length() > _MODULUS_BITS_LIMIT:
-        raise BudgetError(f"{what} of {n.bit_length()} bits exceeds budget"
-                          f" {_MODULUS_BITS_LIMIT} bits")
-
-
 def _prime_powers(n: int, what: str) -> list[tuple[int, int]]:
     """n as [(p, e), ...], by trial division up to the square root of the
     leaf budget.  The bit length of n is checked before the loop, and a
     cofactor left past the leaf budget is refused after it, before any
     vector exists, unless it is a power of one prime within the budget."""
-    _check_bits(n, what)
+    _check_budget(n.bit_length(), "bits", what)
     factors = []
     p = 2
     while p <= _TRIAL_LIMIT and p * p <= n:
@@ -107,7 +91,7 @@ def _prime_powers(n: int, what: str) -> list[tuple[int, int]]:
         p += 1 if p == 2 else 2
     if n > 1:
         m, k = _prime_root(n)
-        _check_budget(m, _VECTOR_MODULUS_LIMIT, f"{what} cofactor")
+        _check_budget(m, "leaf", f"{what} cofactor")
         factors.append((m, k))
     return factors
 
@@ -123,7 +107,7 @@ def _prime_root(n: int) -> tuple[int, int]:
             m = round(2 ** (log / k))
             if m <= _TRIAL_LIMIT:
                 break
-            if m <= _VECTOR_MODULUS_LIMIT and m ** k == n:
+            if m <= BUDGETS["leaf"].limit and m ** k == n:
                 return m, k
     return n, 1
 

@@ -10,12 +10,11 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .multipliers import MODULUS_CEILING, _check_budget, _prime_powers
+from .basis import BUDGETS, _check_budget
+from .multipliers import _prime_powers
 
 # odd numbers per segment: one flag each, so a segment spans 2 * _SEGMENT integers
 _SEGMENT = 1 << 20
-SIEVE_LIMIT = 10**8  # the largest N sieved, or generated for a point-route sum
-RECURSION_LIMIT = 10**9  # the most work of the recursion, in integers sieved
 
 
 def prime_segments(hi: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -30,7 +29,7 @@ def prime_segments(hi: int) -> Iterator[tuple[int, np.ndarray]]:
     stands for 1: no base prime marks it, and its entry becomes 2, the one
     even prime.
     """
-    _check_budget(hi, SIEVE_LIMIT, "sieve bound")
+    _check_budget(hi, "sieve", "sieve bound")
     if hi < 2:
         return
     # the odd base primes: the primes up to sqrt(hi), from this sieve, less 2
@@ -84,7 +83,7 @@ def _recursion_cost(stops: list[int], m: int) -> float:
     for each N, each about 8 ns per unit class and 8 ns more, plus about
     0.4 ms; infinite past the table budget.  Measured on a 2-vCPU Xeon VM."""
     rows, cols = _table_shape(stops, m)
-    if rows * cols > MODULUS_CEILING:
+    if rows * cols > BUDGETS["vector"].limit:
         return math.inf
     updates = sum(11 * n ** 0.75 / math.log(n) for n in set(stops) if n >= 2)
     return 4 * (rows + 1) * updates + 2e5
@@ -93,8 +92,8 @@ def _recursion_cost(stops: list[int], m: int) -> float:
 def _check_recursion(stops: list[int], moduli: list[int]):
     """Refuse the class counts mod the moduli past a table or the work budget."""
     for m in moduli:
-        _check_budget(math.prod(_table_shape(stops, m)), MODULUS_CEILING, "class-count table")
-    _check_budget(math.ceil(sum(_recursion_cost(stops, m) for m in moduli)), RECURSION_LIMIT,
+        _check_budget(math.prod(_table_shape(stops, m)), "vector", "class-count table")
+    _check_budget(math.ceil(sum(_recursion_cost(stops, m) for m in moduli)), "recursion",
                   "class-count work")
 
 

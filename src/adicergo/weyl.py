@@ -12,14 +12,13 @@ from fractions import Fraction
 import numpy as np
 
 from .adic import AdicInt, poly_mod
-from .basis import Basis
+from .basis import BUDGETS, Basis, _check_budget
 from .characters import Character, _integer_phase, reduce_phase
-from .multipliers import (MODULUS_CEILING, OrbitHistogram, _check_budget, _poly_table,
-                          _scatter)
+from .multipliers import OrbitHistogram, _poly_table, _scatter
 # primes_in_range stays bound here: the benchmark's tests check that its
 # tracer puts weyl.primes_in_range back
-from .primes import (SIEVE_LIMIT, _check_recursion, _recursion_cost,  # noqa: F401
-                     prime_class_counts, prime_segments, primes_in_range)
+from .primes import (_check_recursion, _recursion_cost, prime_class_counts,  # noqa: F401
+                     prime_segments, primes_in_range)
 
 # points per block of a point-route sum: the 24 bytes a point that are live
 # while a worker sums a block (200 KB a worker) stay in cache and below what
@@ -46,7 +45,7 @@ def _check_bound(source: str, n: int):
     elif source == "naturals":
         if n < 1:
             raise ValueError("need N >= 1")
-        _check_budget(n, int(np.iinfo(np.int64).max), "N")
+        _check_budget(n, "naturals", "N")
     else:
         raise ValueError(f"unknown source {source!r}")
 
@@ -59,7 +58,7 @@ def _pieces(source: str, hi: int) -> Iterator[tuple[int, np.ndarray]]:
     if source == "primes":
         yield from prime_segments(hi)
         return
-    _check_budget(hi, SIEVE_LIMIT, "source bound")
+    _check_budget(hi, "sieve", "source bound")
     for start in range(0, hi + 1, 16 * _CHUNK):
         end = min(start + 16 * _CHUNK - 1, hi)
         yield end, np.arange(max(start, 1), end + 1, dtype=np.int64)
@@ -105,7 +104,8 @@ def _sweep(source: str, n_schedule: list[int], moduli: list[int],
             yield n, n, [_natural_counts(n, m) for m in moduli], []
         return
     if (source == "primes" and moduli and not phis
-            and min(sum(_recursion_cost(stops, m) for m in moduli), SIEVE_LIMIT) < stops[-1]):
+            and min(sum(_recursion_cost(stops, m) for m in moduli), BUDGETS["sieve"].limit)
+            < stops[-1]):
         _check_recursion(stops, moduli)
         tables = [prime_class_counts(stops, m) for m in moduli]
         for i, n in enumerate(stops):
@@ -202,11 +202,12 @@ def _phase_sums(phis: list[list], n_schedule: list[int], source: str) -> dict[in
     """
     phis = [[Fraction(c) for c in phi] for phi in phis]
     dens = [_integer_phase(phi)[0] for phi in phis]
-    moduli = sorted({den for den in dens if den <= MODULUS_CEILING})
-    point = [phi for phi, den in zip(phis, dens) if den > MODULUS_CEILING]
+    cap = BUDGETS["vector"].limit
+    moduli = sorted({den for den in dens if den <= cap})
+    point = [phi for phi, den in zip(phis, dens) if den > cap]
     # e(phi) on the residues of each class-route phi, computed once while they
     # fit the vector budget together; past it, one phi at a time
-    held, hold_all = {}, sum(den for den in dens if den <= MODULUS_CEILING) <= MODULUS_CEILING
+    held, hold_all = {}, sum(den for den in dens if den <= cap) <= cap
 
     def class_sum(i: int, counts: np.ndarray, total: int) -> complex:
         if i not in held:
@@ -218,7 +219,7 @@ def _phase_sums(phis: list[list], n_schedule: list[int], source: str) -> dict[in
     out = {}
     for n, total, counts, sums in _sweep(source, n_schedule, moduli, point):
         by_den, sums = dict(zip(moduli, counts)), iter(sums)
-        out[n] = [next(sums) / total if den > MODULUS_CEILING
+        out[n] = [next(sums) / total if den > cap
                   else class_sum(i, by_den[den], total) for i, den in enumerate(dens)]
     return out
 
@@ -234,7 +235,7 @@ def adic_weyl_sums(chi: Character, rho: list[AdicInt], n_schedule: list[int],
                    source: str) -> list[complex]:
     """Normalized sums of chi(rho(p)) over primes (or naturals) up to each N:
     the phase sums of the phi of reduce_phase."""
-    _check_budget(chi.modulus, MODULUS_CEILING, "modulus")
+    _check_budget(chi.modulus, "vector", "modulus")
     return phase_sums(reduce_phase(chi, rho).phi, n_schedule, source)
 
 

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -14,7 +15,7 @@ import pytest
 from adicergo import basis as basis_module
 from adicergo import cli, weyl
 from adicergo.adic import embed
-from adicergo.basis import parse_basis
+from adicergo.basis import BUDGETS, parse_basis
 from adicergo.characters import Character, parse_character, unit_phase
 from adicergo.cli import main
 from adicergo.ergodic import CylinderFunction, compare, torus_average, torus_averages
@@ -245,6 +246,34 @@ def test_budgets_refuse_before_output(monkeypatch, capsys, argv, message):
     assert run(argv) == 2
     assert assert_one_error_line(capsys) == f"error: {message}\n"
     assert aranges == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["average", "--function", "f.json", "--rho", "0,0,1", "--N", "100000"],
+     "shift average work 1093271552 exceeds budget 268435456"),
+    (["weyl", "--basis", "const:2", "--char", "1/8", "--rho", "0,0,1", "--source", "naturals",
+      "--N", f"10,{2**63}"], f"N {2**63} exceeds budget {2**63 - 1}"),
+], ids=["shifts", "naturals"])
+def test_late_budgets_refuse_before_output(tmp_path, capsys, argv, message):
+    # the shift average refuses after its histogram (8,341 classes times
+    # 2^17), before the loop; an N past 2^63 - 1 before the other N
+    argv = [write_function(tmp_path, "const:2", 16, np.ones(2**17)) if a == "f.json" else a
+            for a in argv]
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert assert_one_error_line(capsys) == f"error: {message}\n"
+    assert list(tmp_path.glob("o*")) == []
+
+
+def test_cli_refusals_cover_every_budget():
+    # the refusal cases above, told apart by their limits, name every entry
+    entries = {b.limit: name for name, b in BUDGETS.items()}
+    assert len(entries) == len(BUDGETS)
+    messages = [message for test in (test_budgets_refuse_before_output,
+                                     test_late_budgets_refuse_before_output)
+                for mark in test.pytestmark if mark.name == "parametrize"
+                for _, message in mark.args[1]]
+    named = {entries[int(re.search(r"exceeds budget (\d+)", m)[1])] for m in messages}
+    assert named == set(BUDGETS)
 
 
 def test_weyl_past_the_old_default_modulus(capsys):

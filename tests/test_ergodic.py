@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adicergo.adic import embed, include_in_window
-from adicergo.basis import parse_basis
+from adicergo.basis import BUDGETS, parse_basis
 from adicergo.characters import Character, char_value
 from adicergo import ergodic
 from adicergo.cli import emit_report
@@ -85,7 +85,7 @@ def test_inversion_and_parseval():
 
 def test_vector_budget(monkeypatch):
     f = random_function(DYADIC, 4, seed=2)
-    monkeypatch.setattr(ergodic, "MODULUS_CEILING", 8)
+    monkeypatch.setitem(BUDGETS, "vector", BUDGETS["vector"]._replace(limit=8))
     with pytest.raises(BudgetError):
         dft(f)
     with pytest.raises(ValueError, match="length"):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from adicergo import characters, cli, ergodic, multipliers, weyl
 from adicergo.adic import embed, poly_mod
-from adicergo.basis import parse_basis
+from adicergo.basis import BUDGETS, parse_basis
 from adicergo.characters import Character, ReducedPhase, reduce_phase
 from adicergo.ergodic import (CylinderFunction, compare, multiplier_table,
                               predicted_limit)
@@ -192,7 +192,7 @@ def test_gauss_sum_past_the_vector_limit():
 
 def test_deep_stationary_phase_at_the_bit_budget():
     # rho = n^2 on const:2 descends e/2 levels, past the recursion limit
-    bits = multipliers._MODULUS_BITS_LIMIT
+    bits = BUDGETS["bits"].limit
     ph = phase(2**(bits - 1), (0, 1))
     assert multiplier_natural(ph).value == 0j  # 2^-(bits/2) is below the doubles
     assert multiplier_prime(ph).value == 0j

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adicergo import primes
-from adicergo.multipliers import MODULUS_CEILING, BudgetError
-from adicergo.primes import (_SEGMENT, RECURSION_LIMIT, SIEVE_LIMIT, _recursion_cost,
-                             _table_shape, prime_class_counts, prime_count, primes_in_range)
+from adicergo.basis import BUDGETS
+from adicergo.multipliers import BudgetError
+from adicergo.primes import (_SEGMENT, _recursion_cost, _table_shape, prime_class_counts,
+                             prime_count, primes_in_range)
 
 
 def trial_division_primes(lo, hi):
@@ -65,12 +65,12 @@ def test_ascending_and_range_respected():
 
 def test_budget_enforced():
     with pytest.raises(BudgetError, match="^sieve bound 100000001 exceeds budget 100000000$"):
-        primes_in_range(2, SIEVE_LIMIT + 1)
+        primes_in_range(2, BUDGETS["sieve"].limit + 1)
 
 
 def test_sieve_limit_bounds_the_sieve_alone(monkeypatch):
     # the recursion sieves only to the square root of N
-    monkeypatch.setattr(primes, "SIEVE_LIMIT", 1000)
+    monkeypatch.setitem(BUDGETS, "sieve", BUDGETS["sieve"]._replace(limit=1000))
     with pytest.raises(BudgetError):
         primes_in_range(2, 2000)
     assert prime_count(10**6) == 78498
@@ -118,7 +118,7 @@ def assert_class_counts(stops, m):
 def test_class_counts_against_the_sieve(m, stops):
     # any schedule order, repeats included; a table past its budget is
     # refused before it is allocated
-    if math.prod(_table_shape(stops, m)) > MODULUS_CEILING:
+    if math.prod(_table_shape(stops, m)) > BUDGETS["vector"].limit:
         with pytest.raises(BudgetError):
             prime_class_counts(stops, m)
     else:
@@ -167,11 +167,12 @@ def test_recursion_work_budget_edge():
     lo, hi = 2, 10**11
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _recursion_cost([10**11, mid], 1) <= RECURSION_LIMIT else (lo, mid)
+        work = _recursion_cost([10**11, mid], 1)
+        lo, hi = (mid, hi) if work <= BUDGETS["recursion"].limit else (lo, mid)
     assert prime_class_counts([10**11, lo], 1)[0, 0] == 4_118_054_813
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetError, match=f"exceeds budget {RECURSION_LIMIT}$"):
+        with pytest.raises(BudgetError, match=f"exceeds budget {BUDGETS['recursion'].limit}$"):
             prime_class_counts([10**11, lo + 1], 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

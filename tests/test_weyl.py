@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from adicergo import cli, primes, weyl
 
 from adicergo.adic import embed
-from adicergo.basis import parse_basis
+from adicergo.basis import BUDGETS, parse_basis
 from adicergo.characters import Character, char_value, reduce_phase
 from adicergo.ergodic import torus_average, torus_averages
 from adicergo.multipliers import BudgetError, multiplier_natural
@@ -272,10 +272,11 @@ def direct_phase_sums(phi, schedule, source):
 def test_phase_sum_routes_agree(case):
     phi, source, schedule = case
     want = direct_phase_sums(phi, schedule, source)
-    with mock.patch.object(weyl, "MODULUS_CEILING", 0):  # every phi point by point
+    # every phi point by point
+    with mock.patch.dict(BUDGETS, vector=BUDGETS["vector"]._replace(limit=0)):
         points = phase_sums(phi, schedule, source)
     assert max(abs(p - w) for p, w in zip(points, want)) < 1e-12
-    if weyl._integer_phase(phi)[0] > weyl.MODULUS_CEILING:  # both runs take the point route
+    if weyl._integer_phase(phi)[0] > BUDGETS["vector"].limit:  # both runs take the point route
         assert phase_sums(phi, schedule, source) == points
     else:
         # the class route divides a numpy complex by the count (by its
@@ -336,7 +337,7 @@ def test_point_route_sum_inside_a_schedule(source, schedule):
     # an N inside a schedule gets the bits of a single-N run, N across
     # several pieces of the source and at the edge of a block of primes; both
     # stay near a correctly rounded sum
-    assert weyl._integer_phase(IRRATIONAL)[0] > weyl.MODULUS_CEILING
+    assert weyl._integer_phase(IRRATIONAL)[0] > BUDGETS["vector"].limit
     if source == "primes":
         block_end = int(primes_in_range(2, 10**5)[weyl._CHUNK - 1])
         schedule = [*schedule, block_end, block_end + 1, block_end - 1]
@@ -353,7 +354,8 @@ def test_point_route_sum_inside_a_schedule(source, schedule):
 
 
 def class_phases_past_the_budget():
-    with mock.patch.object(weyl, "MODULUS_CEILING", 2**18):  # 4 * 2^17 residues
+    # 4 * 2^17 residues
+    with mock.patch.dict(BUDGETS, vector=BUDGETS["vector"]._replace(limit=2**18)):
         torus_average({1: 1.0, 3: 1.0, 5: 1.0, 7: 1.0}, [Fraction(0), Fraction(1, 2**17)],
                       0.0, 10**6, "primes")
 
