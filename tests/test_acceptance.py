@@ -1,10 +1,8 @@
 """Acceptance gate: one test per headline criterion, each printing a
 PASS/FAIL line.  Expected values come from exact arithmetic, independent
 brute-force oracles, or reference runs frozen at build time."""
-import cmath
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +18,8 @@ from adicergo.multipliers import (complete_exp_sum, multiplier_natural,
 from adicergo.primes import prime_count
 from adicergo.weyl import adic_weyl_sum
 
+from reference import collision_probability, e
+
 # frozen reference: |S_N - G| at N=1e6 for the cycle:2,3,5 fixture below
 # measured 5.76e-4 on the build machine
 FROZEN_PRIME_WEYL_ERROR = 6.0e-4
@@ -28,10 +28,6 @@ FROZEN_PRIME_WEYL_ERROR = 6.0e-4
 def report(criterion, ok):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion failed: {criterion}"
-
-
-def e(num, den):
-    return cmath.exp(2j * cmath.pi * num / den)
 
 
 def square_poly(basis, r):
@@ -187,13 +183,6 @@ def test_criterion_7_torus_decay():
     report("7 torus decay", ok)
 
 
-def _collision_probability(a, kind):
-    # brute force over the sample mod a, in exact integers
-    sample = [m for m in range(a) if kind == "natural" or math.gcd(m, a) == 1]
-    counts = Counter(m * m % a for m in sample)
-    return Fraction(sum(c * c for c in counts.values()), len(sample) ** 2)
-
-
 def test_criterion_8_wiener_decay():
     # Every odd square is 1 mod 8, so the prime series is flat at 1 up to
     # r = 2 and can decay only from there; the natural one from r = 1.
@@ -207,7 +196,7 @@ def test_criterion_8_wiener_decay():
     strict_from = {"prime": 2, "natural": 1}
     ok = True
     for kind in ("prime", "natural"):
-        exact = [_collision_probability(basis.modulus(r), kind) for r in range(7)]
+        exact = [collision_probability((0, 0, 1), basis.modulus(r), kind) for r in range(7)]
         ok &= exact == expected[kind]
         series = wiener_energy(basis, rho, 6, kind=kind)
         ok &= series == [(r, float(w)) for r, w in enumerate(exact)]

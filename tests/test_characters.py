@@ -1,4 +1,3 @@
-import cmath
 import random
 from fractions import Fraction
 
@@ -9,12 +8,10 @@ from adicergo.basis import parse_basis
 from adicergo.characters import (Character, char_value, parse_character,
                                  reduce_phase, unit_phase)
 
+from reference import e
+
 DYADIC = parse_basis("const:2")
 CYCLE = parse_basis("cycle:2,3,5")
-
-
-def e(num, den):
-    return cmath.exp(2j * cmath.pi * num / den)
 
 
 def horner(coeffs, t):

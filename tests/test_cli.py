@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -177,10 +178,12 @@ def test_unknown_config_key(tmp_path, capsys):
     ["gauss", "--q", "4000000007"],
     ["multiplier", "--basis", "const:4000000007", "--char", "1@level:0", "--rho", "0,0,1"],
     ["multiplier", "--basis", "const:2", "--char", "1@level:1000000", "--rho", "0,0,1"],
+    ["multiplier", "--basis", "const:2", "--char", "0@level:15000", "--rho", "0,0,1"],
+    ["multiplier", "--basis", "cycle:2,3,5", "--char", "1@level:100000000", "--rho", "0,0,1"],
 ])
 def test_modulus_past_vector_limit_is_a_budget_error(argv, capsys):
-    # 4,000,000,007 is a prime past the leaf budget; level 10^6 is past the
-    # bit budget
+    # 4,000,000,007 is a prime past the leaf budget; levels 15,000, 10^6 and
+    # 10^8 are past the bit budget, refused before the modulus is multiplied out
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -194,10 +197,17 @@ def test_modulus_past_vector_limit_is_a_budget_error(argv, capsys):
       "--kind", "natural"], (1 + 1j) / 2**17, 2**-16.5),
     (["multiplier", "--basis", "cycle:2,3,5", "--char", "1@level:20", "--rho", "0,0,1",
       "--kind", "natural"], None, math.sqrt(2) * 30**-3.5),  # D = 30^7
-], ids=["gauss", "prime", "natural", "cycle"])
+    (["multiplier", "--basis", "const:2", "--char", "1@level:200", "--rho", "0,0,1"], 0j, 0),
+    (["gauss", "--q", "999966000289"], 999983 + 0j, 999983),  # 999983^2
+    (["gauss", "--q", "9999991", "--psi", "0,7"], None, math.sqrt(9999991)),  # a prime
+], ids=["gauss", "prime", "natural", "cycle", "prime-level-200", "gauss-prime-square",
+        "gauss-prime"])
 def test_sizes_past_the_old_vector_limit(tmp_path, argv, exact, magnitude):
-    # these moduli were refused (exit 2) while the multiplier was a D-sized vector
+    # these moduli were refused (exit 2) while the multiplier was a D-sized
+    # vector; each is now a few closed forms, well within a second
+    start = time.perf_counter()
     assert run([*argv, "--out", str(tmp_path / "o")]) == 0
+    assert time.perf_counter() - start < 5
     row = dict(zip(*read_csv(tmp_path / "o.csv")))
     value = complex(float(row["re"]), float(row["im"]))
     assert abs(value) == pytest.approx(magnitude, rel=1e-14)
@@ -580,6 +590,35 @@ def test_empty_schedule_is_refused(monkeypatch, tmp_path, capsys, command, sourc
     assert calls == [] and not (tmp_path / "o.csv").exists()
 
 
+def fresh_python(args, timeout):
+    """Run python with args in an interpreter of its own, on this checkout's src."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("imports, check, limit_mb", [
+    ("from adicergo.cli import main", "main(['weyl', '--basis', 'cycle:2,3,5', '--char', "
+     "'1/30', '--rho', '0,0,7', '--N', '1000000,100000000']) == 0", 64),
+    ("from adicergo.primes import prime_count", "prime_count(10**8) == 5761455", 48),
+    ("from adicergo.primes import prime_count", "prime_count(10**11) == 4118054813", 80),
+], ids=["weyl-1e8", "pi-1e8", "pi-1e11"])
+def test_prime_routes_peak_rss(imports, check, limit_mb):
+    # the class counts to 1e8 and 1e11 hold no list of the primes.  The peak
+    # is of a fresh interpreter that imports only the module it calls, read
+    # as its VmHWM: Linux carries ru_maxrss across exec, so that would also
+    # hold the peak of the process that started it
+    code = (f"{imports}\nok = {check}\n"
+            "print(ok, *[line.split()[1] for line in open('/proc/self/status')\n"
+            "            if line.startswith('VmHWM:')])\n")
+    proc = fresh_python(["-c", code], timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    ok, kib = proc.stdout.split()[-2:]
+    assert ok == "True" and int(kib) / 1024 < limit_mb
+
+
 @pytest.mark.parametrize("command, message", [
     (["wiener", "--rho", "0,0,1", "--r-max", "5"], "precision 5 beyond"),
     (["multiplier", "--char", "1@level:4", "--rho", "0,0,1"], "precision 4 beyond"),
@@ -587,10 +626,7 @@ def test_empty_schedule_is_refused(monkeypatch, tmp_path, capsys, command, sourc
 ], ids=["wiener", "multiplier", "weyl"])
 def test_list_basis_past_its_entries(command, message):
     # levels past the entries of a list: basis printed an IndexError traceback
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "adicergo.cli", *command, "--basis", "list:3,2"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = fresh_python(["-m", "adicergo.cli", *command, "--basis", "list:3,2"], timeout=60)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert message in proc.stderr and "list:3,2" in proc.stderr
@@ -700,7 +736,9 @@ def test_refusals_exit_with_one_error_line(tmp_path, capsys, argv, code, message
     (["weyl", "--basis", "const:2", "--char", "1/8", "--rho", "0,0,1", "--N", "1e5"],
      "argument --N: must be int values separated by ',', not '1e5'"),
     ([], "the following arguments are required: command"),
-], ids=["unknown-flag", "other-command-flag", "kind", "q", "r-max", "N", "no-command"])
+    (["weyl", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+], ids=["unknown-flag", "other-command-flag", "kind", "q", "r-max", "N", "no-command",
+        "unknown-flag-before-required"])
 def test_usage_error_returns_one(tmp_path, capsys, argv, message):
     # argparse printed its usage and raised SystemExit(2), the budget exit code
     assert run([*argv, "--out", str(tmp_path / "o")] if argv else []) == 1

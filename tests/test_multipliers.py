@@ -1,7 +1,6 @@
 import cmath
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -20,6 +19,8 @@ from adicergo.multipliers import (BudgetError, complete_exp_sum,
                                   multiplier_natural, multiplier_prime,
                                   phase_limit, wiener_energy)
 from adicergo.weyl import phase_sums
+
+from reference import collision_probability, e
 
 DYADIC = parse_basis("const:2")
 
@@ -50,10 +51,6 @@ def per_character(basis, r, rho, kind):
 
 def phase(d, coeffs, c=Fraction(0)):
     return ReducedPhase(d, tuple(coeffs), c)
-
-
-def e(num, den):
-    return cmath.exp(2j * cmath.pi * num / den)
 
 
 def vector_mean(ph, kind):
@@ -441,14 +438,6 @@ def test_wiener_fold_matches_each_level(spec, r_max, kind):
         w = multipliers.limit_distribution(basis, r, rho, kind)
         levels.append((r, int(np.dot(w.counts, w.counts)) / w.total ** 2))
     assert wiener_energy(basis, rho, r_max, kind) == levels
-
-
-def collision_probability(coeffs, a, kind):
-    """Exact sum_c w(c)^2 for rho = sum_j coeffs[j] x^j, by brute force over
-    the units (prime kind) or all residues (natural kind) mod a."""
-    sample = [m for m in range(a) if kind == "natural" or math.gcd(m, a) == 1]
-    counts = Counter(sum(c * m ** j for j, c in enumerate(coeffs)) % a for m in sample)
-    return Fraction(sum(n * n for n in counts.values()), len(sample) ** 2)
 
 
 @settings(max_examples=60, deadline=None)

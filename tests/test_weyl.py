@@ -23,6 +23,8 @@ from adicergo.primes import _SEGMENT, primes_in_range
 from adicergo.weyl import (adic_weyl_sum, adic_weyl_sums, orbit_histogram,
                            phase_sums)
 
+from reference import e
+
 DYADIC = parse_basis("const:2")
 CYCLE = parse_basis("cycle:2,3,5")
 
@@ -41,10 +43,6 @@ def value_at(rho, n):
 
 def torus_sum(beta, n, source):
     return phase_sums(beta, [n], source)[0]
-
-
-def e(num, den):
-    return cmath.exp(2j * cmath.pi * num / den)
 
 
 def test_histogram_prime_example():
@@ -377,6 +375,27 @@ def test_streamed_pass_holds_no_n_sized_array(run):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("source", ["primes", "naturals"])
+def test_class_phases_held_one_at_a_time_keep_their_bits(monkeypatch, source):
+    # four class-route phases of den 2^12 fit a vector budget of 2^14
+    # together, and e(phi) on their residues is computed once; under 2^13
+    # they are held one at a time, and e(phi) is computed again at every N
+    phis = [[Fraction(0), Fraction(a, 2**12), Fraction(b, 2**12)]
+            for a, b in ((1, 0), (3, 5), (4, 11), (4095, 2047))]
+    schedule = [10**4, 3 * 10**4, 10**5]
+    lengths, terms = [], weyl._terms
+    monkeypatch.setattr(weyl, "_terms", lambda phi, points: lengths.append(
+        len(points)) or terms(phi, points))
+    sums = {}
+    for cap, computed in ((2**14, 4), (2**13, 4 * len(schedule))):
+        lengths.clear()
+        with mock.patch.dict(BUDGETS, vector=BUDGETS["vector"]._replace(limit=cap)):
+            out = weyl._phase_sums(phis, schedule, source)
+        assert lengths == [2**12] * computed
+        sums[cap] = np.array([out[n] for n in schedule])
+    assert np.array_equal(sums[2**14].view(np.uint64), sums[2**13].view(np.uint64))
 
 
 def sieve_passes(monkeypatch) -> list:
