@@ -66,6 +66,8 @@ class Basis:
             raise ValueError(f"unknown basis kind {self.kind!r}")
         if not self.params:
             raise ValueError("basis needs at least one entry")
+        if self.kind == "const" and len(self.params) != 1:
+            raise ValueError("const basis takes exactly one entry")
         if any(p < 2 for p in self.params):
             raise ValueError("basis entries must be >= 2")
         if self.offset > 0:
@@ -75,9 +77,7 @@ class Basis:
         """Entry at index i; i must be >= offset (and in range for list kind)."""
         if i < self.offset:
             raise IndexError(f"index {i} below basis offset {self.offset}")
-        if self.kind == "const":
-            return self.params[0]
-        if self.kind == "cycle":
+        if self.kind != "list":  # const is a one-entry cycle
             return self.params[i % len(self.params)]
         j = i - self.offset
         if j >= len(self.params):
@@ -121,10 +121,7 @@ class Basis:
         return Basis(self.kind, self.params, 0)
 
     def spec_string(self) -> str:
-        if self.kind == "const":
-            body = f"const:{self.params[0]}"
-        else:
-            body = f"{self.kind}:" + ",".join(str(p) for p in self.params)
+        body = f"{self.kind}:" + ",".join(str(p) for p in self.params)
         if self.offset != 0:
             body += f"@offset:{self.offset}"
         return body
@@ -147,6 +144,4 @@ def parse_basis(text: str) -> Basis:
         params = tuple(int(p) for p in entries.split(","))
     except ValueError:
         raise ValueError(f"bad basis entries in {text!r}") from None
-    if kind == "const" and len(params) != 1:
-        raise ValueError("const basis takes exactly one entry")
     return Basis(kind, params, offset)

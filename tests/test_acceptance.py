@@ -18,7 +18,7 @@ from adicergo.multipliers import (complete_exp_sum, multiplier_natural,
 from adicergo.primes import prime_count
 from adicergo.weyl import adic_weyl_sum
 
-from reference import collision_probability, e
+from reference import collision_probability, e, is_prime, phi_mu
 
 # frozen reference: |S_N - G| at N=1e6 for the cycle:2,3,5 fixture below
 # measured 5.76e-4 on the build machine
@@ -60,38 +60,15 @@ def test_criterion_1_arithmetic_oracle_suite():
 def test_criterion_2_gauss_magnitude():
     ok = True
     for q in range(3, 98):
-        if any(q % p == 0 for p in range(2, q)):
+        if not is_prime(q):
             continue
         for a in range(1, q):
             ok &= abs(abs(complete_exp_sum([0, a], q)) - math.sqrt(q)) < 1e-9
     report("2 gauss magnitude", ok)
 
 
-def _spf_sieve(limit):
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if spf[p] == 0:
-            spf[p:: p][spf[p:: p] == 0] = p
-    return spf
-
-
-def _phi_mu_from_sieve(n, spf):
-    # independent of the package's trial-division implementations
-    phi, mu = 1, 1
-    while n > 1:
-        p = int(spf[n])
-        e_ = 0
-        while n % p == 0:
-            n //= p
-            e_ += 1
-        phi *= (p - 1) * p ** (e_ - 1)
-        mu = 0 if e_ > 1 else -mu
-    return phi, mu
-
-
 def test_criterion_3_ramanujan_identity():
     from adicergo.characters import ReducedPhase
-    spf = _spf_sieve(10**4)
     rng = random.Random(99)
     worst = 0.0
     for d in range(1, 10**4 + 1):
@@ -100,7 +77,7 @@ def test_criterion_3_ramanujan_identity():
             m = rng.randrange(1, d)
         phase = ReducedPhase(d, (m % d,), Fraction(0))
         g = multiplier_prime(phase).value
-        phi, mu = _phi_mu_from_sieve(d, spf)
+        phi, mu = phi_mu(d)
         worst = max(worst, abs(g - mu / phi))
     report("3 ramanujan identity", worst < 1e-10)
 

@@ -10,6 +10,8 @@ from adicergo.adic import (AdicInt, Digits, add_carry, add_mod, embed,
 from adicergo.basis import Basis, parse_basis
 from adicergo.characters import Character, reduce_phase
 
+from reference import horner
+
 DYADIC = parse_basis("const:2")
 MIXED = parse_basis("list:2,3,5")
 
@@ -98,8 +100,8 @@ def test_precision_reduction_commutes():
             assert op(x, y).reduce_to(1) == op(x.reduce_to(1), y.reduce_to(1))
         rho = [AdicInt(b, 2, rng.randrange(30)) for _ in range(3)]
         t = rng.randrange(100)
-        value = AdicInt(b, 2, horner([c.v for c in rho], b.modulus(2), t))
-        assert value.reduce_to(1).v == horner([c.reduce_to(1).v for c in rho], b.modulus(1), t)
+        value = AdicInt(b, 2, horner([c.v for c in rho], t, b.modulus(2)))
+        assert value.reduce_to(1).v == horner([c.reduce_to(1).v for c in rho], t, b.modulus(1))
 
 
 def test_embed_is_ring_homomorphism():
@@ -117,14 +119,6 @@ def test_eval_poly_examples():
     assert poly_mod([], 30, [4]).tolist() == [0]
 
 
-def horner(coeffs, modulus, t):
-    """The reference: Horner's rule in Python ints, reduced once at the end."""
-    acc = 0
-    for c in coeffs[::-1]:
-        acc = acc * t + c
-    return acc % modulus
-
-
 # every arithmetic of the kernel, and both sides of each boundary: moduli
 # dividing 2^64, m*m < 2^63 (up to 3,037,000,499), and Python ints past them
 KERNEL_MODULI = ([1 << k for k in range(65)]
@@ -140,7 +134,7 @@ def test_poly_mod_matches_python_horner(modulus, coeffs, points, residues):
     if residues:
         points = [t % modulus for t in points]
     got = poly_mod(coeffs, modulus, np.array(points, dtype=np.int64))
-    assert [int(v) for v in got] == [horner(coeffs, modulus, t) for t in points]
+    assert [int(v) for v in got] == [horner(coeffs, t, modulus) for t in points]
     dtype = np.int64 if modulus <= 2**63 else np.uint64 if modulus == 2**64 else object
     assert got.dtype == dtype and len(got) == len(points)
 
@@ -161,10 +155,10 @@ def test_eval_poly_and_phase_past_int64(spec, r):
     phase = reduce_phase(chi, rho)
     ns = [0, 1, 2**64 + 3, a - 1, -5, rng.randrange(a**2)]
     got = poly_mod([c.v for c in rho], a, [n % a for n in ns])
-    assert got.dtype == object and list(got) == [horner([c.v for c in rho], a, n) for n in ns]
+    assert got.dtype == object and list(got) == [horner([c.v for c in rho], n, a) for n in ns]
     d = phase.modulus
     assert list(poly_mod((0, *phase.coeffs), d, [n % d for n in ns])) == [
-        horner((0, *phase.coeffs), d, n) for n in ns]
+        horner((0, *phase.coeffs), n, d) for n in ns]
 
 
 def test_include_in_window():

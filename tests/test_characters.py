@@ -8,18 +8,10 @@ from adicergo.basis import parse_basis
 from adicergo.characters import (Character, char_value, parse_character,
                                  reduce_phase, unit_phase)
 
-from reference import e
+from reference import e, horner
 
 DYADIC = parse_basis("const:2")
 CYCLE = parse_basis("cycle:2,3,5")
-
-
-def horner(coeffs, t):
-    """coeffs[0] + coeffs[1]*t + ... by Horner's rule in Python ints."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
 
 
 def test_char_eval_examples():

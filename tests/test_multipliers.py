@@ -20,7 +20,7 @@ from adicergo.multipliers import (BudgetError, complete_exp_sum,
                                   phase_limit, wiener_energy)
 from adicergo.weyl import phase_sums
 
-from reference import collision_probability, e
+from reference import collision_probability, e, is_prime, phi_mu, plain_sieve, vector_mean
 
 DYADIC = parse_basis("const:2")
 
@@ -53,17 +53,6 @@ def phase(d, coeffs, c=Fraction(0)):
     return ReducedPhase(d, tuple(coeffs), c)
 
 
-def vector_mean(ph, kind):
-    """The multiplier as one D-sized vector: the mean of e(phase(m)/D) over
-    the units mod D (prime kind) or over all residues (natural kind)."""
-    m = np.arange(ph.modulus, dtype=np.int64)
-    if kind == "prime":
-        m = m[np.gcd(m, ph.modulus) == 1]
-    terms = np.exp(2j * np.pi * poly_mod((0, *ph.coeffs), ph.modulus, m) / ph.modulus)
-    c = ph.constant
-    return e(c.numerator, c.denominator) * complex(np.mean(terms))
-
-
 # Bases of the oracle test, each with the top level at which D <= 2^15.
 ORACLE_LEVEL = {"const:2": 14, "const:3": 8, "cycle:2,3,5": 8, "list:3,2,7,2": 3,
                 "cycle:2,3,5@offset:-1": 6, "const:2@offset:-1": 13}
@@ -91,8 +80,10 @@ def phase_cases():
 @given(phase_cases())
 def test_multiplier_matches_vector_mean(ph):
     # the CRT product of stationary-phase means against the D-sized vector
-    assert abs(multiplier_prime(ph).value - vector_mean(ph, "prime")) <= 1e-14
-    assert abs(multiplier_natural(ph).value - vector_mean(ph, "natural")) <= 1e-14
+    c, numerators = ph.constant, (0, *ph.coeffs)
+    for kind, mult in (("prime", multiplier_prime), ("natural", multiplier_natural)):
+        want = e(c.numerator, c.denominator) * vector_mean(ph.modulus, numerators, kind)
+        assert abs(mult(ph).value - want) <= 1e-14
 
 
 @st.composite
@@ -104,20 +95,12 @@ def rational_phases(draw):
     return den, [constant, *draw(st.lists(st.integers(-2 * den, 2 * den), max_size=4))]
 
 
-def brute_mean(den, numerators, kind):
-    """The mean of e(phi(m)) over the units mod den (prime kind) or all
-    residues, with phi(m) reduced mod 1 in integers."""
-    sample = [m for m in range(den) if kind == "natural" or math.gcd(m, den) == 1]
-    return sum(e(sum(c * m**j for j, c in enumerate(numerators)) % den, den)
-               for m in sample) / len(sample)
-
-
 @settings(max_examples=100, deadline=None)
 @given(rational_phases(), st.sampled_from(KINDS))
 def test_phase_limit_is_the_mean_over_the_sample(case, kind):
     den, numerators = case
     phi = [Fraction(c, den) for c in numerators]
-    assert abs(phase_limit(phi, kind) - brute_mean(den, numerators, kind)) < 1e-12
+    assert abs(phase_limit(phi, kind) - vector_mean(den, numerators, kind)) < 1e-12
 
 
 @settings(max_examples=50, deadline=None)
@@ -242,7 +225,7 @@ def test_power_of_a_prime_past_the_trial_limit():
             complete_exp_sum([0, 1], q)
 
 
-ODD_PRIMES = [p for p in range(3, 10_000, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
+ODD_PRIMES = plain_sieve(10_000)[1:].tolist()
 
 
 @st.composite
@@ -363,22 +346,6 @@ def test_magnitude_bounded_by_one():
         assert abs(multiplier_natural(ph).value) <= 1 + 1e-12
 
 
-def euler_phi(n):
-    return sum(math.gcd(m, n) == 1 for m in range(1, n + 1))
-
-
-def mobius(n):
-    """(-1)^k for a product of k distinct primes, 0 when a square divides n."""
-    k = 0
-    for p in range(2, n + 1):
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            k += 1
-    return (-1) ** k
-
-
 def test_linear_prime_multiplier_is_normalized_ramanujan():
     rng = random.Random(9)
     for _ in range(50):
@@ -387,7 +354,8 @@ def test_linear_prime_multiplier_is_normalized_ramanujan():
         while math.gcd(m, d) != 1:
             m = rng.randrange(1, d)
         v = multiplier_prime(phase(d, (m,))).value
-        assert v == pytest.approx(mobius(d) / euler_phi(d), abs=1e-10)
+        phi, mu = phi_mu(d)
+        assert v == pytest.approx(mu / phi, abs=1e-10)
 
 
 def test_natural_consistent_with_complete_sum():
@@ -402,7 +370,7 @@ def test_natural_consistent_with_complete_sum():
 
 
 def test_quadratic_normalized_max_decreases_along_primes():
-    qs = [q for q in range(3, 200) if all(q % p for p in range(2, q))]
+    qs = [q for q in range(3, 200) if is_prime(q)]
     peaks = []
     for q in qs:
         peaks.append(max(abs(complete_exp_sum([0, a], q)) / q for a in range(1, q)))

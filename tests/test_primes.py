@@ -11,26 +11,7 @@ from adicergo.multipliers import BudgetError
 from adicergo.primes import (_SEGMENT, _recursion_cost, _table_shape, prime_class_counts,
                              prime_count, primes_in_range)
 
-
-def trial_division_primes(lo, hi):
-    out = []
-    for n in range(max(lo, 2), hi + 1):
-        if all(n % p for p in range(2, int(n ** 0.5) + 1)):
-            out.append(n)
-    return out
-
-
-def is_prime(n):
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
-def plain_sieve(hi):
-    """Every integer flagged, no segments: an oracle independent of the odd-only layout."""
-    flags = np.ones(hi + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(hi) + 1):
-        flags[p * p:: p] = False
-    return np.flatnonzero(flags)
+from reference import is_prime, plain_sieve
 
 
 def test_small_examples():
@@ -41,7 +22,7 @@ def test_small_examples():
 
 def test_against_trial_division():
     got = primes_in_range(500, 2000)
-    assert list(got) == trial_division_primes(500, 2000)
+    assert list(got) == [n for n in range(500, 2001) if is_prime(n)]
 
 
 def test_pi_of_one_million():
@@ -53,7 +34,7 @@ def test_segment_boundaries():
     seg = primes_in_range(2, 3 * (1 << 21) + 17)
     small = primes_in_range(2, 1 << 21)
     assert np.array_equal(seg[: len(small)], small)
-    assert list(seg[-3:]) == trial_division_primes(int(seg[-3]), int(seg[-1]))
+    assert list(seg[-3:]) == [n for n in range(seg[-3], seg[-1] + 1) if is_prime(n)]
 
 
 def test_ascending_and_range_respected():

@@ -19,11 +19,11 @@ from adicergo.basis import BUDGETS, parse_basis
 from adicergo.characters import Character, char_value, reduce_phase
 from adicergo.ergodic import torus_average, torus_averages
 from adicergo.multipliers import BudgetError, multiplier_natural
-from adicergo.primes import _SEGMENT, primes_in_range
+from adicergo.primes import _SEGMENT
 from adicergo.weyl import (adic_weyl_sum, adic_weyl_sums, orbit_histogram,
                            phase_sums)
 
-from reference import e
+from reference import direct_phase_sums, e, exact_phases, horner, plain_sieve
 
 DYADIC = parse_basis("const:2")
 CYCLE = parse_basis("cycle:2,3,5")
@@ -31,14 +31,6 @@ CYCLE = parse_basis("cycle:2,3,5")
 
 def square(basis, r):
     return [embed(c, basis, r) for c in (0, 0, 1)]
-
-
-def value_at(rho, n):
-    """rho(n) mod A by Horner's rule in Python ints."""
-    acc = 0
-    for c in reversed(rho):
-        acc = acc * n + c.v
-    return acc % rho[0].modulus
 
 
 def torus_sum(beta, n, source):
@@ -92,10 +84,11 @@ def test_trivial_character_sums_to_one():
 def test_histogram_matches_naive_sum():
     rho = [embed(c, CYCLE, 2) for c in (1, 2, 0, 3)]
     for source in ("primes", "naturals"):
-        ns = primes_in_range(2, 10**4) if source == "primes" else range(1, 10**4 + 1)
+        ns = plain_sieve(10**4) if source == "primes" else range(1, 10**4 + 1)
+        values = [horner([c.v for c in rho], int(n), rho[0].modulus) for n in ns]
         for ell in (1, 7, 13):
             chi = Character(CYCLE, 2, ell)
-            naive = sum(char_value(chi, value_at(rho, int(n))) for n in ns) / len(ns)
+            naive = sum(char_value(chi, v) for v in values) / len(ns)
             fast = adic_weyl_sum(chi, rho, 10**4, source)
             assert abs(fast - naive) < 1e-12
 
@@ -150,8 +143,7 @@ def test_natural_histogram_matches_counted(basis, n):
     r = 2 if basis is CYCLE else 4
     rho = [embed(c, basis, r) for c in (3, 1, 2)]
     hist = orbit_histogram(basis, r, rho, n, "naturals")
-    values = np.arange(1, n + 1)
-    expected = np.bincount([value_at(rho, int(v)) for v in values],
+    expected = np.bincount(horner([c.v for c in rho], np.arange(1, n + 1), rho[0].modulus),
                            minlength=basis.modulus(r))
     assert np.array_equal(hist.counts, expected) and hist.total == n
 
@@ -206,12 +198,6 @@ def dyadic_polys(draw):
             for _ in range(degree + 1)]
 
 
-def exact_phases(coeffs, values):
-    """The oracle: each phase as an exact Fraction mod 1, rounded once."""
-    return np.array([float(sum(c * int(v) ** j for j, c in enumerate(coeffs)) % 1)
-                     for v in values])
-
-
 @settings(max_examples=150, deadline=None)
 @given(dyadic_polys(), st.lists(st.integers(1, 2**40), min_size=1, max_size=40))
 def test_uint64_phases_match_bigint_loop(coeffs, points):
@@ -234,7 +220,7 @@ def test_phase_fallback_for_other_denominators(coeffs):
     # int64 (den 21, primes above it reduced first) and Python-int arithmetic,
     # rounded once: by numpy's division up to den 2^53 (3 * 2^51 here), by
     # int / int past it, where the numerator or the denominator passes 2^53
-    values = primes_in_range(2, 3000)
+    values = plain_sieve(3000)
     got = weyl._torus_phases(coeffs, values)
     assert np.array_equal(got, exact_phases(coeffs, values))
 
@@ -248,20 +234,6 @@ def phase_cases(draw):
            for _ in range(draw(st.integers(1, 5)))]
     schedule = draw(st.lists(st.integers(2, 600), min_size=1, max_size=4))
     return phi, draw(st.sampled_from(["primes", "naturals"])), schedule + schedule[:1]
-
-
-def direct_phase_sums(phi, schedule, source):
-    """The oracle: e(phi(n)) from the exact Fraction phase mod 1, summed in
-    Python over the source up to each N."""
-    top = max(schedule)
-    points = primes_in_range(2, top).tolist() if source == "primes" else range(1, top + 1)
-    terms = [cmath.exp(2j * cmath.pi * float(sum(c * n**j for j, c in enumerate(phi)) % 1))
-             for n in points]
-    sums = []
-    for n in schedule:
-        count = sum(1 for p in points if p <= n)
-        sums.append(sum(terms[:count]) / count)
-    return sums
 
 
 @settings(max_examples=100, deadline=None)
@@ -314,7 +286,7 @@ def test_streamed_prime_class_counts(m):
     got = {n: (total, counts.copy())  # the running counts, used at once
            for n, total, (counts,), _ in weyl._sweep("primes", schedule, [m], [])}
     assert list(got) == sorted(set(schedule))
-    primes = primes_in_range(2, max(schedule))
+    primes = plain_sieve(max(schedule))
     for n in schedule:
         below = primes[:np.searchsorted(primes, n, side="right")]
         total, counts = got[n]
@@ -337,13 +309,13 @@ def test_point_route_sum_inside_a_schedule(source, schedule):
     # stay near a correctly rounded sum
     assert weyl._integer_phase(IRRATIONAL)[0] > BUDGETS["vector"].limit
     if source == "primes":
-        block_end = int(primes_in_range(2, 10**5)[weyl._CHUNK - 1])
+        block_end = int(plain_sieve(10**5)[weyl._CHUNK - 1])
         schedule = [*schedule, block_end, block_end + 1, block_end - 1]
     got = phase_sums(IRRATIONAL, schedule, source)
     alone = [phase_sums(IRRATIONAL, [n], source)[0] for n in schedule]
     assert np.array_equal(np.array(got).view(np.uint64), np.array(alone).view(np.uint64))
     top = max(schedule)
-    points = primes_in_range(2, top) if source == "primes" else np.arange(1, top + 1)
+    points = plain_sieve(top) if source == "primes" else np.arange(1, top + 1)
     terms = np.exp(2j * np.pi * weyl._torus_phases(IRRATIONAL, points))
     for n, s in zip(schedule, got):
         k = int(np.searchsorted(points, n, side="right"))
@@ -414,7 +386,7 @@ def test_class_only_sweep_at_large_n_takes_the_recursion(monkeypatch):
     ((got_n, total, (counts,), sums),) = weyl._sweep("primes", [n], [30], [])
     assert (got_n, total, sums) == (n, 1_857_859, [])
     assert calls and max(calls) <= math.isqrt(n)
-    assert np.array_equal(counts, np.bincount(primes_in_range(2, n) % 30, minlength=30))
+    assert np.array_equal(counts, np.bincount(plain_sieve(n) % 30, minlength=30))
 
 
 @pytest.mark.parametrize("m, n", [(900, 10**6), (16384, 10**6), (27000, 10**6), (30, 2 * 10**4)])
@@ -448,7 +420,7 @@ def test_pool_size_changes_no_bit(monkeypatch, source):
     # (4k * _CHUNK) and the edge of a piece of naturals (16 * _CHUNK), at the
     # end of the first sieve segment and past it
     top = EDGE + 3001
-    points = primes_in_range(2, top) if source == "primes" else np.arange(1, top + 1)
+    points = plain_sieve(top) if source == "primes" else np.arange(1, top + 1)
     counts = [k * weyl._CHUNK for k in (1, 3, weyl._TASK, 2 * weyl._TASK, 3 * weyl._TASK, 16)]
     schedule = [2, *(int(points[c + d - 1]) for c in counts for d in (-1, 0, 1)),
                 EDGE - 1, EDGE, EDGE + 1, top]
@@ -495,7 +467,7 @@ def test_failed_block_task_is_one_error_line(monkeypatch, tmp_path, capsys):
     before = threading.active_count()
     beta = "0,0.6206792730020408,0.7198029204644897"
     doubled = 2 * Fraction(float(beta.split(",")[1]))  # phi[1] of frequency 2
-    block = int(primes_in_range(2, 3 * 10**5)[3 * weyl._CHUNK])  # the last block
+    block = int(plain_sieve(3 * 10**5)[3 * weyl._CHUNK])  # the last block
     terms = weyl._terms
 
     def exhausted(phi, points):
