@@ -15,7 +15,7 @@ class Budget(NamedTuple):
 # budget table says what each bounds and prices it
 BUDGETS = {
     "sieve": Budget(10**8, "bound N"),  # primes sieved, or naturals summed point by point
-    "recursion": Budget(10**9, "integers sieved"),  # primes._recursion_cost's estimate
+    "recursion": Budget(250_000_000, "cells"),  # the table cells primes._plan updates
     "vector": Budget(1 << 22, "residues"),  # A, a class-route den, the class-count table
     "leaf": Budget(10**7, "residues"),  # a prime factor of a phase or Gauss modulus
     "shifts": Budget(1 << 28, "shifts"),  # occupied classes times A of a shift average

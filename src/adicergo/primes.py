@@ -10,11 +10,12 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .basis import BUDGETS, _check_budget
+from .basis import BUDGETS, BudgetError, _check_budget
 from .multipliers import _prime_powers
 
 # odd numbers per segment: one flag each, so a segment spans 2 * _SEGMENT integers
 _SEGMENT = 1 << 20
+_NS_CELL, _NS_CALL, _NS_SIEVED = 6, 5e5, 2.5  # ns a recursion cell and call, a sieved integer
 
 
 def prime_segments(hi: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -34,7 +35,7 @@ def prime_segments(hi: int) -> Iterator[tuple[int, np.ndarray]]:
         return
     # the odd base primes: the primes up to sqrt(hi), from this sieve, less 2
     base = [p for _, primes in prime_segments(math.isqrt(hi)) for p in primes.tolist()][1:]
-    buffer = np.empty(_SEGMENT, dtype=bool)  # the flags of every segment in turn
+    buffer = np.empty(min(_SEGMENT, hi // 2 + 1), dtype=bool)  # every segment's flags in turn
     for start in range(1, hi + 1, 2 * _SEGMENT):
         end = min(start + 2 * _SEGMENT - 1, hi)
         flags = buffer[:(end - start) // 2 + 1]
@@ -68,33 +69,48 @@ def prime_count(n: int) -> int:
     return int(prime_class_counts([n], 1)[0, 0])
 
 
-def _table_shape(stops: list[int], m: int) -> tuple[int, int]:
-    """(rows, columns) of the table of prime_class_counts, the columns at
-    most, with nothing allocated: a row per unit class mod m, a column for
-    each v <= isqrt(max N) and each larger N // k."""
-    low = math.isqrt(max([0, *stops]))
-    phi = math.prod((p - 1) * p ** (e - 1) for p, e in _prime_powers(m, "modulus"))
-    return phi, low + sum(n // (low + 1) for n in set(stops) if n > low)
+def _plan(stops: list[int], m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The table of prime_class_counts(stops, m), a row per unit class: the v
+    of each column, ascending; the primes p <= isqrt(max N) not dividing m;
+    the first column v >= p^2 of each; the cells the recursion updates.  The
+    largest N alone, a lower bound, is checked before any column is built,
+    then the union of the columns as each N adds its own, and its cells."""
+    hi = max([0, *stops])
+    low = math.isqrt(hi)
+    rows = math.prod((p - 1) * p ** (e - 1) for p, e in _prime_powers(m, "modulus"))
+    _check_budget(rows * (low + hi // (low + 1)), "vector", "class-count table")
+    base = primes_in_range(2, low)
+    base = base[m % base != 0]
+    squares = base * base
+    # the columns v >= p^2 of the largest N: those up to low, and its N // k past low
+    alone = np.maximum(low + 1 - squares, 0) + np.minimum(hi // (low + 1), hi // squares)
+    _check_budget(rows * int(alone.sum()), "recursion", "class-count work")
+    large = np.empty(0, dtype=np.int64)
+    for n in sorted({n for n in stops if n > low}, reverse=True):
+        large = np.sort(np.concatenate([large, n // np.arange(1, n // (low + 1) + 1)]))
+        large = large[np.diff(large, prepend=0) > 0]
+        _check_budget(rows * (low + len(large)), "vector", "class-count table")
+    vals = np.concatenate([np.arange(1, low + 1), large])
+    starts = np.searchsorted(vals, squares)
+    cells = rows * int((len(vals) - starts).sum())
+    _check_budget(cells, "recursion", "class-count work")
+    return vals, base, starts, cells
 
 
-def _recursion_cost(stops: list[int], m: int) -> float:
-    """The time of prime_class_counts(stops, m) in integers sieved, the
-    sieve's unit (2 to 3 ns each): at most 11 N^(3/4) / ln N column updates
-    for each N, each about 8 ns per unit class and 8 ns more, plus about
-    0.4 ms; infinite past the table budget.  Measured on a 2-vCPU Xeon VM."""
-    rows, cols = _table_shape(stops, m)
-    if rows * cols > BUDGETS["vector"].limit:
-        return math.inf
-    updates = sum(11 * n ** 0.75 / math.log(n) for n in set(stops) if n >= 2)
-    return 4 * (rows + 1) * updates + 2e5
-
-
-def _check_recursion(stops: list[int], moduli: list[int]):
-    """Refuse the class counts mod the moduli past a table or the work budget."""
-    for m in moduli:
-        _check_budget(math.prod(_table_shape(stops, m)), "vector", "class-count table")
-    _check_budget(math.ceil(sum(_recursion_cost(stops, m) for m in moduli)), "recursion",
-                  "class-count work")
+def _recursion_counts(stops: list[int], moduli: list[int]) -> list[np.ndarray] | None:
+    """prime_class_counts(stops, m) for each modulus where the plans' cells cost
+    less than a sieve to max N, or past the sieve's bound (a refusal stands); else None."""
+    sieve = max(stops) * _NS_SIEVED if max(stops) <= BUDGETS["sieve"].limit else math.inf
+    try:
+        plans = [_plan(stops, m) for m in moduli]
+        _check_budget(sum(cells for *_, cells in plans), "recursion", "class-count work")
+    except BudgetError:
+        if sieve < math.inf:
+            return None
+        raise
+    if sum(cells * _NS_CELL + _NS_CALL for *_, cells in plans) < sieve:
+        return [prime_class_counts(stops, m, plan) for m, plan in zip(moduli, plans)]
+    return None
 
 
 def _columns(vals: np.ndarray, low: int, v: np.ndarray) -> np.ndarray:
@@ -106,44 +122,33 @@ def _columns(vals: np.ndarray, low: int, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def prime_class_counts(stops: list[int], m: int) -> np.ndarray:
+def prime_class_counts(stops: list[int], m: int, plan: tuple | None = None) -> np.ndarray:
     """The number of primes up to N in each class mod m, for each N of stops
     (any order, repeats allowed; none below 2), as int64 rows, without the
-    primes.
+    primes, on the table of its plan (_plan(stops, m) unless given).
 
     Column v of the table S holds, per unit class c mod m, the integers in
-    [2, v] of class c that no prime sieved so far divides, for every v up to
-    isqrt(max N) and every larger N // k.  Each prime p <= isqrt(max N) not
-    dividing m removes from every column v >= p^2 the survivors p*k with
-    k >= p: S(v // p) - S(p - 1), moved from class c to class c*p.  Once the
-    primes up to P with (P + 1)^3 >= max N are done, every column below
-    (P + 1)^2 is final; the larger primes read only those and write only
-    above, so they go in batches of about a quarter table width of columns
-    (a prime's columns are not split).  The primes dividing m are added at
-    the end.  Both the table size and the work are checked before anything
-    is allocated.
+    [2, v] of class c that no prime sieved so far divides.  Each base prime p
+    removes from every column v >= p^2 the survivors p*k with k >= p:
+    S(v // p) - S(p - 1), moved from class c to class c*p.  Once the primes
+    up to P with (P + 1)^3 >= max N are done, every column below (P + 1)^2
+    is final; the larger primes read only those and write only above, so
+    they go in batches of about a quarter table width of columns (a prime's
+    columns are not split).  The primes dividing m are added at the end.
     """
-    _check_recursion(stops, [m])
+    vals, base, starts, _ = plan or _plan(stops, m)
     hi = max([0, *stops])
-    out = np.zeros((len(stops), m), dtype=np.int64)
-    if hi < 2:
-        return out
-    low = math.isqrt(hi)
-    large = np.sort(np.concatenate([n // np.arange(n // (low + 1), 0, -1)
-                                    for n in set(stops) if n > low]))
-    vals = np.concatenate([np.arange(1, low + 1), large[np.diff(large, prepend=0) > 0]])
-    width = len(vals)
-    units = np.flatnonzero(np.gcd(np.arange(m), m) == 1)
-    pos = np.zeros(m, dtype=np.int64)
-    pos[units] = np.arange(len(units))
-    table = np.empty((len(units), width), dtype=np.int32 if hi < 1 << 31 else np.int64)
+    low, width = math.isqrt(hi), len(vals)
+    unit = np.gcd(np.arange(m), m) == 1
+    units, pos = np.flatnonzero(unit), np.cumsum(unit) - 1  # the row of each unit
+    # rows an odd number of 16 entries apart: a power-of-two stride put a column in one cache set
+    stride = width // 32 * 32 + 48
+    padded = np.empty((len(units), stride), dtype=np.int32 if hi < 1 << 31 else np.int64)
+    table = padded[:, :width]
     table[:] = vals // m
     table += np.where(units == 0, m, units)[:, None] <= vals % m
     table[pos[1 % m]] -= 1  # 1 is not prime
 
-    base = primes_in_range(2, low)
-    base = base[m % base != 0]
-    starts = np.searchsorted(vals, base * base)  # the first column v >= p^2
     split = int(np.searchsorted(base, round(hi ** (1 / 3)), side="right"))
     for p, start in zip(base[:split].tolist(), starts[:split].tolist()):
         part = table[:, _columns(vals, low, vals[start:] // p)]
@@ -151,8 +156,7 @@ def prime_class_counts(stops: list[int], m: int) -> np.ndarray:
         table[:, start:] -= part[pos[units * pow(p, -1, m) % m]]  # from class c / p to c
 
     base, starts = base[split:], starts[split:]
-    base, starts = base[starts < width], starts[starts < width]
-    counts = width - starts
+    counts = width - starts  # starts ascend: the primes with no column left come last
     batches = np.unique(np.searchsorted(np.cumsum(counts), side="right",
                                         v=np.arange(0, counts.sum(), width // 4 + 1))).tolist()
     for a, b in zip(batches, [*batches[1:], len(base)]):
@@ -160,9 +164,10 @@ def prime_class_counts(stops: list[int], m: int) -> np.ndarray:
         ps = np.repeat(base[a:b], k)
         cols = np.arange(len(ps)) + np.repeat(starts[a:b] - np.cumsum(k) + k, k)
         part = table[:, _columns(vals, low, vals[cols] // ps)] - table[:, ps - 2]
-        np.subtract.at(table.reshape(-1), pos[units[:, None] * ps % m] * width + cols, part)
+        np.subtract.at(padded.reshape(-1), pos[units[:, None] * ps % m] * stride + cols, part)
 
     ns = np.array(stops, dtype=np.int64)
+    out = np.zeros((len(stops), m), dtype=np.int64)
     out[np.ix_(ns >= 2, units)] = table[:, np.searchsorted(vals, ns[ns >= 2])].T
     for q, _ in _prime_powers(m, "modulus"):
         out[ns >= q, q % m] += 1

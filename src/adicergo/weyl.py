@@ -15,10 +15,8 @@ from .adic import AdicInt, poly_mod
 from .basis import BUDGETS, Basis, _check_budget
 from .characters import Character, _integer_phase, reduce_phase
 from .multipliers import OrbitHistogram, _poly_table, _scatter
-# primes_in_range stays bound here: the benchmark's tests check that its
-# tracer puts weyl.primes_in_range back
-from .primes import (_check_recursion, _recursion_cost, prime_class_counts,  # noqa: F401
-                     prime_segments, primes_in_range)
+# primes_in_range stays bound: the benchmark's tests check its tracer restores it
+from .primes import _recursion_counts, prime_segments, primes_in_range  # noqa: F401
 
 # points per block of a point-route sum: the 24 bytes a point that are live
 # while a worker sums a block (200 KB a worker) stay in cache and below what
@@ -90,9 +88,9 @@ def _sweep(source: str, n_schedule: list[int], moduli: list[int],
     takes the same steps, so an N inside a schedule gets the bits of a
     single-N run.
     Over the naturals the class counts are closed-form, and the pass runs
-    only for phis.  Over the primes with no phi, the class counts come from
-    the floor-value recursion instead, with no pass, when its estimated cost
-    (primes._recursion_cost) is below the sieve's, or N is past the sieve's bound.
+    only for phis.  Over the primes with no phi, they come from the
+    floor-value recursion, with no pass, wherever primes._recursion_counts
+    takes it: where its exact plan prices it below the sieve, or past the sieve.
     """
     for n in n_schedule:
         _check_bound(source, n)
@@ -103,11 +101,8 @@ def _sweep(source: str, n_schedule: list[int], moduli: list[int],
         for n in stops:
             yield n, n, [_natural_counts(n, m) for m in moduli], []
         return
-    if (source == "primes" and moduli and not phis
-            and min(sum(_recursion_cost(stops, m) for m in moduli), BUDGETS["sieve"].limit)
-            < stops[-1]):
-        _check_recursion(stops, moduli)
-        tables = [prime_class_counts(stops, m) for m in moduli]
+    tables = source == "primes" and moduli and not phis and _recursion_counts(stops, moduli)
+    if tables:
         for i, n in enumerate(stops):
             yield n, int(tables[0][i].sum()), [t[i] for t in tables], []
         return

@@ -58,6 +58,9 @@ JOBS = {
                               "--source", "naturals"], None),
     "weyl.recursion.primes": (["weyl", "--basis", "cycle:2,3,5", "--char", "11/30",
                                "--rho", "1,0,7", "--N", "30000000"], None),
+    # where the routes cross: 149,432 cells of recursion come in below a sieve to 1e6
+    "weyl.crossover.primes": (["weyl", "--basis", "cycle:2,3,5", "--char", "7/30",
+                               "--rho", "0,0,7", "--N", "1000000"], None),
     "weyl.window.primes": (["weyl", "--basis", "const:2@offset:-1", "--char", "5@level:6",
                             "--rho", "0,1,3", "--N", "8192,131072"], None),
     "torus.point.primes": (["torus", "--beta", IRRATIONAL, "--freqs", "1;2;3",

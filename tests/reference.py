@@ -57,6 +57,24 @@ def phi_mu(n):
     return phi, mu
 
 
+def floor_values(stops):
+    """The columns of the prime class-count table of a schedule: every
+    N // k, k >= 1, of every N, and every v up to isqrt(max N), ascending."""
+    low = math.isqrt(max([0, *stops]))
+    values = np.sort(np.concatenate([np.arange(1, low + 1, dtype=np.int64),
+                                     *(n // np.arange(1, n + 1) for n in stops)]))
+    return values[np.diff(values, prepend=0) > 0]
+
+
+def plan_cells(stops, m):
+    """The table entries the class-count recursion updates: for each prime
+    p up to isqrt(max N) not dividing m, the columns v >= p^2 of every unit
+    class mod m, counted directly."""
+    columns = floor_values(stops)
+    primes = plain_sieve(math.isqrt(max([0, *stops]))).tolist()
+    return phi_mu(m)[0] * sum(int(np.count_nonzero(columns >= p * p)) for p in primes if m % p)
+
+
 def source_points(n, source):
     """The primes (plain sieve) or the naturals up to n, as an int64 array."""
     return plain_sieve(n) if source == "primes" else np.arange(1, n + 1, dtype=np.int64)

@@ -1,17 +1,17 @@
-import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adicergo import weyl
 from adicergo.basis import BUDGETS
 from adicergo.multipliers import BudgetError
-from adicergo.primes import (_SEGMENT, _recursion_cost, _table_shape, prime_class_counts,
-                             prime_count, primes_in_range)
+from adicergo.primes import _SEGMENT, _plan, prime_class_counts, prime_count, primes_in_range
 
-from reference import is_prime, plain_sieve
+from reference import floor_values, is_prime, phi_mu, plain_sieve, plan_cells
 
 
 def test_small_examples():
@@ -99,11 +99,21 @@ def assert_class_counts(stops, m):
 def test_class_counts_against_the_sieve(m, stops):
     # any schedule order, repeats included; a table past its budget is
     # refused before it is allocated
-    if math.prod(_table_shape(stops, m)) > BUDGETS["vector"].limit:
+    if phi_mu(m)[0] * len(floor_values(stops)) > BUDGETS["vector"].limit:
         with pytest.raises(BudgetError):
             prime_class_counts(stops, m)
     else:
         assert_class_counts(stops, m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 2000), st.lists(st.integers(0, 2 * 10**5), min_size=1, max_size=4))
+def test_plan_is_the_table(m, stops):
+    # the plan's columns are the distinct floor values of the schedule, and
+    # its cells the entries the recursion updates, counted directly
+    vals, _, _, cells = _plan(stops, m)
+    assert np.array_equal(vals, floor_values(stops))
+    assert cells == plan_cells(stops, m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 27, 32, 30, 2 * 1009, 5 * 401])
@@ -130,7 +140,7 @@ def test_class_count_budgets():
         prime_class_counts([1000], 10**6 + 3)
     with pytest.raises(BudgetError, match="class-count table"):
         prime_class_counts([10**11], 30)
-    with pytest.raises(BudgetError, match="^class-count work 3185026201 exceeds budget"):
+    with pytest.raises(BudgetError, match="^class-count work 413540317 exceeds budget"):
         prime_class_counts([10**12], 1)
 
 
@@ -142,20 +152,45 @@ def test_class_counts_mod_30_past_the_sieve():
     assert counts[2] == counts[3] == counts[5] == 1
 
 
-def test_recursion_work_budget_edge():
-    # the largest second N of a schedule with pi(1e11) that the work budget
-    # admits runs; one more is refused before anything is allocated
-    lo, hi = 2, 10**11
+def test_recursion_work_budget_edge(monkeypatch):
+    # under a work budget of 2e7 cells, the largest N it admits mod 2310 runs;
+    # one more is refused before its table (480 rows, about 7 MB) is allocated
+    lo, hi = 2, 15 * 10**6
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        work = _recursion_cost([10**11, mid], 1)
-        lo, hi = (mid, hi) if work <= BUDGETS["recursion"].limit else (lo, mid)
-    assert prime_class_counts([10**11, lo], 1)[0, 0] == 4_118_054_813
+        lo, hi = (mid, hi) if _plan([mid], 2310)[-1] <= 2 * 10**7 else (lo, mid)
+    table = 480 * 4 * len(_plan([lo + 1], 2310)[0])
+    monkeypatch.setitem(BUDGETS, "recursion", BUDGETS["recursion"]._replace(limit=2 * 10**7))
+    assert prime_class_counts([lo], 2310).sum() == len(plain_sieve(lo))
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetError, match=f"exceeds budget {BUDGETS['recursion'].limit}$"):
-            prime_class_counts([10**11, lo + 1], 1)
+        with pytest.raises(BudgetError, match="^class-count work [0-9]+ exceeds budget 20000000$"):
+            prime_class_counts([lo + 1], 2310)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak < 1 << 20 < table
+
+
+def test_close_stops_share_their_columns():
+    # 1e11 - 1 adds 72 columns to the 632,454 of 1e11 and 0.2% to its cells
+    assert prime_class_counts([10**11, 10**11 - 1], 1)[:, 0].tolist() == [4_118_054_813] * 2
+
+
+def test_close_stops_pass_the_work_budget_through_weyl():
+    # a work budget of exactly the cells of [1e7, 1e7 - 1] mod 30 admits them,
+    # though each N alone takes more than half of it; past a lowered sieve
+    # bound a refusal would stand
+    stops = [10**7, 10**7 - 1]
+    cells = _plan(stops, 30)[-1]
+    assert 2 * _plan(stops[:1], 30)[-1] > cells
+    for limit, admitted in ((cells, True), (cells - 1, False)):
+        with mock.patch.dict(BUDGETS, sieve=BUDGETS["sieve"]._replace(limit=10**6),
+                             recursion=BUDGETS["recursion"]._replace(limit=limit)):
+            if admitted:
+                rows = weyl._sweep("primes", stops, [30], [])
+                assert [(n, total) for n, total, _, _ in rows] == [(10**7 - 1, 664_579),
+                                                                   (10**7, 664_579)]
+            else:
+                with pytest.raises(BudgetError, match=f"^class-count work {cells} exceeds"):
+                    list(weyl._sweep("primes", stops, [30], []))

@@ -389,25 +389,46 @@ def test_class_only_sweep_at_large_n_takes_the_recursion(monkeypatch):
     assert np.array_equal(counts, np.bincount(plain_sieve(n) % 30, minlength=30))
 
 
-@pytest.mark.parametrize("m, n", [(900, 10**6), (16384, 10**6), (27000, 10**6), (30, 2 * 10**4)])
-def test_sweep_keeps_the_sieve_where_it_is_cheaper(monkeypatch, m, n):
+@pytest.mark.parametrize("m, schedule, total", [
+    (30, [10**6], 78_498),  # 149,432 cells: 1.5 ms against the sieve's 3.0 ms
+    (30, [10**6, 3 * 10**6, 10**7, 3 * 10**7], 1_857_859),  # the benchmark's weyl.primes
+    (210, [10**8], 5_761_455),  # 25.7M cells: 120 ms against 179 ms
+])
+def test_sweep_takes_the_recursion_where_it_is_cheaper(monkeypatch, m, schedule, total):
+    calls = sieve_passes(monkeypatch)
+    *_, (got_n, got_total, _, sums) = weyl._sweep("primes", schedule, [m], [])
+    assert (got_n, got_total, sums) == (max(schedule), total, [])
+    assert calls and max(calls) <= math.isqrt(max(schedule))
+
+
+@pytest.mark.parametrize("m, schedule", [
+    (900, [10**4, 10**5, 10**6]),  # the benchmark's compare
+    (16384, [10**6]), (27000, [10**6]),  # its average, past the table budget
+    (30, [2 * 10**4]),
+], ids=["900-1000000", "16384-1000000", "27000-1000000", "30-20000"])
+def test_sweep_keeps_the_sieve_where_it_is_cheaper(monkeypatch, m, schedule):
     calls = sieve_passes(monkeypatch)
     # and a pass for class counts alone starts no pool of threads
     monkeypatch.setattr(weyl, "_workers", lambda: pytest.fail("pool started"))
-    list(weyl._sweep("primes", [n], [m], []))
-    assert n in calls
+    list(weyl._sweep("primes", schedule, [m], []))
+    assert max(schedule) in calls
 
 
 @pytest.mark.parametrize("moduli", [[1], [30], [8, 30], [2310]])
 def test_sweep_routes_agree(monkeypatch, moduli):
     schedule = [10**6, 2, EDGE + 1, 10**5, 10**6, 3 * 10**5]
 
-    def sweep(cost):
-        monkeypatch.setattr(weyl, "_recursion_cost", lambda stops, m: cost)
+    def sweep(**ns):  # the recursion's and the sieve's prices, in ns
+        for name, value in ns.items():
+            monkeypatch.setattr(primes, name, value)
         return [(n, total, [c.copy() for c in counts], sums)
                 for n, total, counts, sums in weyl._sweep("primes", schedule, moduli, [])]
 
-    recursion, sieve = sweep(0.0), sweep(math.inf)
+    calls = sieve_passes(monkeypatch)
+    recursion = sweep(_NS_CELL=0, _NS_CALL=0)
+    assert max(calls) <= math.isqrt(max(schedule))
+    sieve = sweep(_NS_SIEVED=0)
+    assert max(calls) == max(schedule)
     assert [row[:2] for row in recursion] == [row[:2] for row in sieve]
     for (*_, a, _), (*_, b, _) in zip(recursion, sieve):
         assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(a, b))
