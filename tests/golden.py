@@ -35,6 +35,7 @@ EDGES = "8192,131072,2097152"  # a block, a piece of naturals and a sieve segmen
 INSIDE = "2300000,2400000,2500000"  # inside later pieces and blocks of both sources
 IRRATIONAL = "0,0.6206792730020408,0.7198029204644897"  # den 2^53: the point route
 QUARTERS = "0,0.000244140625,0.000732421875"  # 1/4096 and 3/4096: the class route
+MIXED = "0,0.000244140625;0,0.6206792730020408"  # a torus component of each route
 
 # name -> (argv, the vector budget it runs under, or None for the default)
 JOBS = {
@@ -84,6 +85,11 @@ JOBS = {
     "torus.plane.primes": (["torus", "--beta", "0,0,1.4142135623730951;0,0,1.7320508075688772",
                             "--freqs", "1,0;0,1", "--coeffs", "1;1", "--x", "0.25,0.5",
                             "--N", "8192"], None),
+    # a class-route phase (den 4,096) and a point-route phase (den 2^53) in one pass
+    "torus.mixed.primes": (["torus", "--beta", MIXED, "--freqs", "1,0;0,1", "--coeffs", "1;1",
+                            "--x", "0,0", "--N", EDGES], None),
+    "torus.mixed.naturals": (["torus", "--beta", MIXED, "--freqs", "1,0;0,1", "--coeffs", "1;1",
+                              "--x", "0,0", "--N", EDGES, "--source", "naturals"], None),
     "wiener.dyadic.prime": (["wiener", "--basis", "const:2", "--rho", "0,0,1",
                              "--r-max", "10"], None),
     "wiener.dyadic.natural": (["wiener", "--basis", "const:2", "--rho", "0,0,1",
