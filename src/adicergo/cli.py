@@ -20,9 +20,8 @@ from .characters import parse_character, reduce_phase
 from .ergodic import (CylinderFunction, compare, cylinder_from_dict,
                       cylinder_to_dict, empirical_average, predicted_limit,
                       torus_averages)
-from .multipliers import (BudgetError, complete_exp_sum, multiplier_natural, multiplier_prime,
-                          wiener_energy)
-from .weyl import adic_weyl_sums
+from .multipliers import BudgetError, complete_exp_sum, phase_limit, wiener_energy
+from .weyl import _SAMPLES, _SOURCE_OF, adic_weyl_sums
 
 
 def _fmt(x: float) -> str:
@@ -58,8 +57,8 @@ _FIELDS = {
     "rho": ("--rho", None, {"help": "comma-separated integer coefficients, constant first"}),
     "char": ("--char", None, {"help": "<ell>/<A> or <ell>@level:<r>"}),
     "n_schedule": ("--N", None, {"type": _n_schedule, "help": "comma-separated N schedule"}),
-    "source": ("--source", "primes", {"choices": ("primes", "naturals")}),
-    "kind": ("--kind", "prime", {"choices": ("prime", "natural")}),
+    "source": ("--source", "primes", {"choices": tuple(_SAMPLES)}),
+    "kind": ("--kind", "prime", {"choices": tuple(_SOURCE_OF)}),
     "q": ("--q", None, {"type": int}),
     "psi": ("--psi", "0,1", {"help": "coefficients a1,a2,... of a1*x + a2*x^2 + ..."}),
     "beta": ("--beta", None, {"help": "orbit coefficients, ';' between torus components"}),
@@ -194,11 +193,11 @@ def cmd_multiplier(cfg: argparse.Namespace) -> tuple:
     chi = parse_character(cfg.char, basis)
     _check_budget(chi.modulus.bit_length(), "bits", "character modulus")  # written in decimal
     phase = reduce_phase(chi, _parsed_rho(cfg, basis, chi.r))
-    mult = multiplier_prime(phase) if cfg.kind == "prime" else multiplier_natural(phase)
-    return ([_complex_line(f"{cfg.kind} multiplier (modulus {phase.modulus})", mult.value)],
+    value = phase_limit(phase.phi, cfg.kind)
+    return ([_complex_line(f"{cfg.kind} multiplier (modulus {phase.modulus})", value)],
             {"char": [chi.spec_string()], "modulus": [phase.modulus],
-             "re": [mult.value.real], "im": [mult.value.imag]},
-            {"multiplier": mult.value, "modulus": phase.modulus, "kind": cfg.kind})
+             "re": [value.real], "im": [value.imag]},
+            {"multiplier": value, "modulus": phase.modulus, "kind": cfg.kind})
 
 
 def cmd_weyl(cfg: argparse.Namespace) -> tuple:

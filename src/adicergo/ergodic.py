@@ -12,7 +12,7 @@ from .adic import AdicInt
 from .basis import Basis, _check_budget, parse_basis
 from .characters import unit_phase
 from .multipliers import OrbitHistogram, limit_distribution
-from .weyl import _orbit_histograms, _phase_sums, orbit_histogram
+from .weyl import _SOURCE_OF, _orbit_histograms, _phase_sums, orbit_histogram
 
 
 @dataclass(frozen=True)
@@ -116,11 +116,10 @@ def compare(f: CylinderFunction, rho: list[AdicInt], n_schedule: list[int],
     is checked.  Returns the sup and l2 distances per N, the multiplier table
     (indexed by character numerator) and whether the sup distances never
     increase over the distinct N taken ascending, in any schedule order."""
-    source = "primes" if kind == "prime" else "naturals"
     mults = multiplier_table(f.basis, f.r, rho, kind)
     limit = _apply_multipliers(f, mults)
     dist = {}
-    for n, hist in _orbit_histograms(f.basis, f.r, rho, n_schedule, source):
+    for n, hist in _orbit_histograms(f.basis, f.r, rho, n_schedule, _SOURCE_OF[kind]):
         dist[n] = _sup_and_l2(_shift_average(f, hist).values - limit.values)
     sups = [sup for sup, _ in dist.values()]  # in ascending N, as the histograms come
     return {"sup_norm": [dist[n][0] for n in n_schedule],

@@ -16,6 +16,7 @@ from .characters import ReducedPhase, _integer_phase, unit_phase
 
 # moduli are factored by trial division up to the root of the leaf budget
 _TRIAL_LIMIT = math.isqrt(BUDGETS["leaf"].limit)
+_UNITS = {"prime": True, "natural": False}  # a kind's limit sample: the units, or all residues
 
 @dataclass(frozen=True)
 class MultiplierValue:
@@ -62,11 +63,11 @@ def limit_distribution(basis: Basis, r: int, rho: list[AdicInt], kind: str) -> O
     Every limit multiplier at level r is a transform of w:
     M(ell) = sum_c w(c) e(ell c / A), so M = A * ifft(w).
     """
-    if kind not in ("prime", "natural"):
+    if kind not in _UNITS:
         raise ValueError(f"unknown multiplier kind {kind!r}")
     table = _poly_table(basis, r, rho)
     a = len(table)
-    return _scatter(table, np.gcd(np.arange(a, dtype=np.int64), a) == 1 if kind == "prime" else 1)
+    return _scatter(table, np.gcd(np.arange(a, dtype=np.int64), a) == 1 if _UNITS[kind] else 1)
 
 
 def _exp_sum(coeffs, modulus: int, residues: np.ndarray) -> complex:
@@ -213,11 +214,11 @@ def phase_limit(phi: list, kind: str) -> complex:
     naturals up to N, for phi as in phase_sums: e(phi[0]) times the mean of
     e(phi - phi[0]) over the units mod its denominator (the primes
     equidistribute over them, by Dirichlet) or over all residues."""
-    if kind not in ("prime", "natural"):
+    if kind not in _UNITS:
         raise ValueError(f"unknown multiplier kind {kind!r}")
     c, *rest = [Fraction(x) for x in phi] or [Fraction(0)]  # an empty phi is 0, as in phase_sums
     den, coeffs = _integer_phase(rest)
-    value = _mean(coeffs, den, kind == "prime", "phase modulus")
+    value = _mean(coeffs, den, _UNITS[kind], "phase modulus")
     return cmath.exp(2j * cmath.pi * (c.numerator % c.denominator) / c.denominator) * value
 
 

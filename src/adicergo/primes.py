@@ -97,9 +97,9 @@ def _plan(stops: list[int], m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return vals, base, starts, cells
 
 
-def _recursion_counts(stops: list[int], moduli: list[int]) -> list[np.ndarray] | None:
-    """prime_class_counts(stops, m) for each modulus where the plans' cells cost
-    less than a sieve to max N, or past the sieve's bound (a refusal stands); else None."""
+def _recursion_counts(stops: list[int], moduli: list[int]) -> list[tuple] | None:
+    """At each N of stops, its rows of prime_class_counts(stops, m) for the moduli, where the
+    plans' cells cost less than a sieve to max N or are past its bound (a refusal stands)."""
     sieve = max(stops) * _NS_SIEVED if max(stops) <= BUDGETS["sieve"].limit else math.inf
     try:
         plans = [_plan(stops, m) for m in moduli]
@@ -109,7 +109,7 @@ def _recursion_counts(stops: list[int], moduli: list[int]) -> list[np.ndarray] |
             return None
         raise
     if sum(cells * _NS_CELL + _NS_CALL for *_, cells in plans) < sieve:
-        return [prime_class_counts(stops, m, plan) for m, plan in zip(moduli, plans)]
+        return list(zip(*(prime_class_counts(stops, m, plan) for m, plan in zip(moduli, plans))))
     return None
 
 

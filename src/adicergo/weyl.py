@@ -3,6 +3,7 @@ which Weyl sums of characters and torus sums both are, and orbit histograms."""
 from __future__ import annotations
 
 import bisect
+import collections
 import contextlib
 import itertools
 import os
@@ -36,26 +37,10 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _check_bound(source: str, n: int):
-    if source == "primes":
-        if n < 2:
-            raise ValueError("no primes below 2")
-    elif source == "naturals":
-        if n < 1:
-            raise ValueError("need N >= 1")
-        _check_budget(n, "naturals", "N")
-    else:
-        raise ValueError(f"unknown source {source!r}")
-
-
-def _pieces(source: str, hi: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The source up to hi in the pieces of a fixed grid, ascending, as (the
-    last integer a piece covers, its elements): the sieve's segments, or the
-    naturals in [k * 2^17, (k + 1) * 2^17), 16 blocks (1 MB of int64, about a
+def _naturals(hi: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The naturals up to hi in the pieces [k * 2^17, (k + 1) * 2^17), as
+    prime_segments gives the primes: 16 blocks (1 MB of int64, about a
     segment's primes), so that the pool has several tasks a piece."""
-    if source == "primes":
-        yield from prime_segments(hi)
-        return
     _check_budget(hi, "sieve", "source bound")
     for start in range(0, hi + 1, 16 * _CHUNK):
         end = min(start + 16 * _CHUNK - 1, hi)
@@ -70,16 +55,36 @@ def _natural_counts(n: int, m: int) -> np.ndarray:
     return counts
 
 
+# the sample of each --source: all that differs between the primes and the naturals.
+# The least N, and the refusal of one below it; the check of N against a budget; the
+# sample up to hi in pieces, ascending (see _naturals); (stops, moduli, whether a pass
+# runs for phis) -> the class counts mod each modulus at each N, ascending, with no
+# pass, or None where a pass counts them: the recursion's where no pass runs and it
+# costs less than the sieve, or the naturals' closed form at any N; and the limit
+# sample, as multipliers names its kind.  prime_segments is looked up at each pass.
+_Sample = collections.namedtuple("_Sample", "least refusal check pieces counts kind")
+_SAMPLES = {
+    "primes": _Sample(2, "no primes below 2", lambda n: None, lambda hi: prime_segments(hi),
+                      lambda stops, moduli, passing: None if passing
+                      else _recursion_counts(stops, moduli), "prime"),
+    "naturals": _Sample(1, "need N >= 1", lambda n: _check_budget(n, "naturals", "N"), _naturals,
+                        lambda stops, moduli, passing: (
+                            [_natural_counts(n, m) for m in moduli] for n in stops), "natural"),
+}
+_SOURCE_OF = {sample.kind: source for source, sample in _SAMPLES.items()}  # of each --kind
+
+
 def _sweep(source: str, n_schedule: list[int], moduli: list[int],
            phis: list[list[Fraction]]) -> Iterator[tuple[int, int, list, list]]:
     """At each distinct N of a schedule, ascending: (N, the number of source
     elements up to N, their class counts mod each modulus, the sums of
-    e(phi) over them for each phi).  Every N is checked first; then one pass
-    over the source holds one piece, one count vector per modulus and one
-    block of e(phi) a pool thread (see _block_sums).  A pass with a phi
-    opens its own pool and shuts it down when it ends, finished, failed or
-    closed.  The count vectors are the running ones, so a snapshot is used
-    before the pass goes on.
+    e(phi) over them for each phi), once every N is checked.  The class
+    counts come from the sample's entry where it gives them, and with no phi
+    no pass runs then.  Else one pass over the source holds one piece, one
+    count vector per modulus and one block of e(phi) a pool thread (see
+    _block_sums).  A pass with a phi opens its own pool and shuts it down
+    when it ends, finished, failed or closed.  A pass yields its running
+    count vectors, so a snapshot is used before it goes on.
 
     The sum at N is the running sum of the whole pieces below N plus, in the
     piece holding N, prefix[b] of _block_sums (its whole blocks before the
@@ -87,32 +92,28 @@ def _sweep(source: str, n_schedule: list[int], moduli: list[int],
     thread.  A pass that stops at N ends its last piece and block at N and
     takes the same steps, so an N inside a schedule gets the bits of a
     single-N run.
-    Over the naturals the class counts are closed-form, and the pass runs
-    only for phis.  Over the primes with no phi, they come from the
-    floor-value recursion, with no pass, wherever primes._recursion_counts
-    takes it: where its exact plan prices it below the sieve, or past the sieve.
     """
+    sample = _SAMPLES.get(source)
+    if sample is None:
+        raise ValueError(f"unknown source {source!r}")
     for n in n_schedule:
-        _check_bound(source, n)
+        if n < sample.least:
+            raise ValueError(sample.refusal)
+        sample.check(n)
     stops = sorted(set(n_schedule))
     if not stops:
         return
-    if source == "naturals" and not phis:
-        for n in stops:
-            yield n, n, [_natural_counts(n, m) for m in moduli], []
+    rows = moduli and sample.counts(stops, moduli, bool(phis))
+    if rows and not phis:
+        for n, at_n in zip(stops, rows):
+            yield n, int(at_n[0].sum()), at_n, []
         return
-    tables = source == "primes" and moduli and not phis and _recursion_counts(stops, moduli)
-    if tables:
-        for i, n in enumerate(stops):
-            yield n, int(tables[0][i].sum()), [t[i] for t in tables], []
-        return
-    sieved = source == "primes"
-    counts = [np.zeros(m, dtype=np.int64) for m in moduli] if sieved else []
+    counts = [] if rows else [np.zeros(m, dtype=np.int64) for m in moduli]
     sums, total, done = [0j] * len(phis), 0, 0
     if phis:  # counts alone start no pool
         from concurrent.futures import ThreadPoolExecutor  # off the import path
     with ThreadPoolExecutor(_workers()) if phis else contextlib.nullcontext() as pool:
-        for end, piece in _pieces(source, stops[-1]):
+        for end, piece in sample.pieces(stops[-1]):
             inside = stops[done:bisect.bisect_right(stops, end)]
             done += len(inside)
             prefixes = _block_sums(pool, phis, piece) if phis else []
@@ -123,8 +124,7 @@ def _sweep(source: str, n_schedule: list[int], moduli: list[int],
                     np.add.at(c, piece[start:k] % len(c), 1)
                 if i < len(inside):
                     b = max(k - 1, 0) // _CHUNK  # the block that holds N
-                    at_n = counts if sieved else [_natural_counts(inside[i], m) for m in moduli]
-                    yield inside[i], total + k, at_n, [
+                    yield inside[i], total + k, next(rows) if rows else counts, [
                         s + (p[b] + _block_sum(phi, piece[b * _CHUNK:k]))
                         for s, p, phi in zip(sums, prefixes, phis)]
             sums = [s + p[-1] for s, p in zip(sums, prefixes)]
