@@ -139,6 +139,18 @@ def test_poly_mod_matches_python_horner(modulus, coeffs, points, residues):
     assert got.dtype == dtype and len(got) == len(points)
 
 
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_poly_mod_reduces_points_just_past_an_int64_modulus(degree):
+    # m*m < 2^63, so products of residues fit int64, but a point in (m, 2m]
+    # times a residue does not: every point past m must be reduced first
+    m = 3_000_000_001
+    rng = random.Random(degree)
+    coeffs = [rng.randrange(m) for _ in range(degree + 1)]
+    points = [m + 1, 2 * m - 1, 2 * m, *(rng.randrange(m + 1, 2 * m + 1) for _ in range(20))]
+    got = poly_mod(coeffs, m, np.array(points, dtype=np.int64))
+    assert got.tolist() == [horner(coeffs, t, m) for t in points]
+
+
 def test_poly_mod_rejects_modulus_zero():
     with pytest.raises(ValueError, match="modulus"):
         poly_mod([1], 0, [0])

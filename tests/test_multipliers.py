@@ -225,6 +225,15 @@ def test_power_of_a_prime_past_the_trial_limit():
             complete_exp_sum([0, 1], q)
 
 
+@pytest.mark.parametrize("psi", [[3], [3, 5], [1, 0, 1]], ids=["3x", "3x+5x^2", "x+x^3"])
+def test_two_prime_factors_just_past_the_trial_limit(psi):
+    # 1009 and 1013 both lie between 1000 and the trial limit (3,162): a trial
+    # division that stopped early would take their product for a prime
+    den = 1009 * 1013
+    got = phase_limit([0, *(Fraction(c, den) for c in psi)], "prime")
+    assert abs(got - vector_mean(den, [0, *psi], "prime")) < 1e-12
+
+
 ODD_PRIMES = plain_sieve(10_000)[1:].tolist()
 
 

@@ -25,6 +25,19 @@ def test_against_trial_division():
     assert list(got) == [n for n in range(500, 2001) if is_prime(n)]
 
 
+def test_small_n_across_the_cube_root_split():
+    # the base primes up to the cube root of max N are removed one by one, the
+    # rest in batches; at small N the rounded root is often a base prime (2 at
+    # N = 4..15, 3 at 16..42, 5 at 92..166), which must go one by one
+    primes = plain_sieve(1000)
+    assert [prime_count(n) for n in range(1000)] == np.searchsorted(
+        primes, np.arange(1000), side="right").tolist()
+    for m in (2, 6, 7, 30, 210):
+        for n in range(1, 200, 2):  # the odd N, to keep the test short
+            want = np.bincount(primes[primes <= n] % m, minlength=m)
+            assert np.array_equal(prime_class_counts([n], m)[0], want), (n, m)
+
+
 def test_pi_of_one_million():
     assert prime_count(10**6) == 78498
 

@@ -69,6 +69,15 @@ def test_histogram_budget_and_errors():
         orbit_histogram(DYADIC, 2, square(DYADIC, 2), 1, "primes")
 
 
+@pytest.mark.parametrize("kind", ["prime", "natural"])
+def test_a_kind_is_not_a_source(kind):
+    # the --kind spellings name the same samples, but a sum takes only --source's
+    with pytest.raises(ValueError, match=f"^unknown source '{kind}'$"):
+        phase_sums([0, Fraction(1, 3)], [10], kind)
+    with pytest.raises(ValueError, match=f"^unknown source '{kind}'$"):
+        orbit_histogram(DYADIC, 2, square(DYADIC, 2), 10, kind)
+
+
 def test_weyl_sum_prime_example():
     chi = Character(DYADIC, 2, 1)
     s = adic_weyl_sum(chi, square(DYADIC, 2), 10, "primes")
