@@ -56,20 +56,20 @@ def _natural_counts(n: int, m: int) -> np.ndarray:
 
 
 # the sample of each --source: all that differs between the primes and the naturals.
-# The least N, and the refusal of one below it; the check of N against a budget; the
-# sample up to hi in pieces, ascending (see _naturals); (stops, moduli, whether a pass
-# runs for phis) -> the class counts mod each modulus at each N, ascending, with no
-# pass, or None where a pass counts them: the recursion's where no pass runs and it
-# costs less than the sieve, or the naturals' closed form at any N; and the limit
-# sample, as multipliers names its kind.  prime_segments is looked up at each pass.
+# counts(stops, moduli, whether a pass runs for phis) is the class counts mod each
+# modulus at each N, ascending, with no pass; or None, and a pass counts them.  kind
+# names the limit sample in multipliers: the units mod A, or every residue.
 _Sample = collections.namedtuple("_Sample", "least refusal check pieces counts kind")
 _SAMPLES = {
-    "primes": _Sample(2, "no primes below 2", lambda n: None, lambda hi: prime_segments(hi),
-                      lambda stops, moduli, passing: None if passing
-                      else _recursion_counts(stops, moduli), "prime"),
-    "naturals": _Sample(1, "need N >= 1", lambda n: _check_budget(n, "naturals", "N"), _naturals,
-                        lambda stops, moduli, passing: (
-                            [_natural_counts(n, m) for m in moduli] for n in stops), "natural"),
+    "primes": _Sample(least=2, refusal="no primes below 2", check=lambda n: None,
+                      pieces=lambda hi: prime_segments(hi),  # as bound at each pass
+                      counts=lambda stops, moduli, passing: None if passing
+                      else _recursion_counts(stops, moduli), kind="prime"),
+    "naturals": _Sample(least=1, refusal="need N >= 1",
+                        check=lambda n: _check_budget(n, "naturals", "N"), pieces=_naturals,
+                        counts=lambda stops, moduli, passing: (
+                            [_natural_counts(n, m) for m in moduli] for n in stops),
+                        kind="natural"),
 }
 _SOURCE_OF = {sample.kind: source for source, sample in _SAMPLES.items()}  # of each --kind
 
