@@ -62,7 +62,7 @@ def _natural_counts(n: int, m: int) -> np.ndarray:
 _Sample = collections.namedtuple("_Sample", "least refusal check pieces counts kind")
 _SAMPLES = {
     "primes": _Sample(least=2, refusal="no primes below 2", check=lambda n: None,
-                      pieces=lambda hi: prime_segments(hi),  # as bound at each pass
+                      pieces=lambda hi: prime_segments(hi),  # read at each pass, if rebound
                       counts=lambda stops, moduli, passing: None if passing
                       else _recursion_counts(stops, moduli), kind="prime"),
     "naturals": _Sample(least=1, refusal="need N >= 1",
