@@ -2,6 +2,8 @@
 exact truncated arithmetic, dual characters, generalized Gauss-sum
 multipliers, prime Weyl sums, and the multiplier-predicted limits."""
 
+import types
+
 from .adic import (AdicInt, Digits, add_carry, add_mod, embed, from_digits,
                    include_in_window, mul, poly_mod, to_digits)
 from .basis import BUDGETS, Basis, parse_basis
@@ -17,5 +19,6 @@ from .primes import prime_count, primes_in_range
 from .weyl import (OrbitHistogram, adic_weyl_sum, adic_weyl_sums,
                    orbit_histogram, phase_sums)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()  # the imported names, no submodule
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)]
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import adicergo
 from adicergo import basis as basis_module
 from adicergo import cli, weyl
 from adicergo.adic import embed
@@ -39,6 +40,15 @@ def write_function(tmp_path, basis_text, r, values):
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
+
+
+def test_star_import_binds_no_submodule():
+    # a caller's own `basis` or `weyl` survives `from adicergo import *`
+    namespace = {}
+    exec("from adicergo import *", namespace)
+    assert "phase_sums" in namespace and "basis" not in namespace
+    assert not [name for name in adicergo.__all__
+                if isinstance(getattr(adicergo, name), types.ModuleType)]
 
 
 def test_gauss_magnitude(tmp_path, capsys):

@@ -289,6 +289,18 @@ def test_compare_flag_ignores_the_schedule_order(schedule, flag):
         assert compare(f, square(CYCLE, 2), order, "prime")["sup_nonincreasing"] is flag
 
 
+def test_compare_flag_sees_a_rise_below_1e9():
+    # f scaled by 2^-34 scales every sup exactly; the sups from 300 to 400
+    # then rise by about 2e-12, past the flag's 1e-15 slack and below 1e-9
+    values = np.random.default_rng(0).normal(size=30)
+    sups = compare(CylinderFunction(CYCLE, 2, values), square(CYCLE, 2), [300, 400])["sup_norm"]
+    report = compare(CylinderFunction(CYCLE, 2, np.ldexp(values, -34)), square(CYCLE, 2),
+                     [300, 400])
+    assert report["sup_norm"] == [math.ldexp(s, -34) for s in sups]
+    assert 1e-15 < report["sup_norm"][1] - report["sup_norm"][0] < 1e-9
+    assert report["sup_nonincreasing"] is False
+
+
 def test_torus_average_constant_term():
     assert torus_average({0: 2.5 + 1j}, [0.0, 1.0], 0.3, 100, "primes") \
         == pytest.approx(2.5 + 1j)

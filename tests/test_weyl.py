@@ -445,10 +445,10 @@ def test_sweep_routes_agree(monkeypatch, moduli):
 
 @pytest.mark.parametrize("source", ["primes", "naturals"])
 def test_pool_size_changes_no_bit(monkeypatch, source):
-    # the block sums are added in block order whatever the pool's size: N
-    # where the count crosses a block edge (k * _CHUNK), a task edge
-    # (4k * _CHUNK) and the edge of a piece of naturals (16 * _CHUNK), at the
-    # end of the first sieve segment and past it
+    # the block sums are added in block order whatever the pool's size (4
+    # threads against 1, on any machine): N where the count crosses a block
+    # edge (k * _CHUNK), a task edge (4k * _CHUNK) and the edge of a piece of
+    # naturals (16 * _CHUNK), at the end of the first sieve segment and past it
     top = EDGE + 3001
     points = plain_sieve(top) if source == "primes" else np.arange(1, top + 1)
     counts = [k * weyl._CHUNK for k in (1, 3, weyl._TASK, 2 * weyl._TASK, 3 * weyl._TASK, 16)]
@@ -460,10 +460,11 @@ def test_pool_size_changes_no_bit(monkeypatch, source):
         return [*phase_sums(IRRATIONAL, schedule, source),
                 *torus_averages(trig, IRRATIONAL, 0.0, schedule, source)]
 
-    default = run()
+    monkeypatch.setattr(weyl, "_workers", lambda: 4)
+    four = run()
     monkeypatch.setattr(weyl, "_workers", lambda: 1)
     single = run()
-    assert np.array_equal(np.array(single).view(np.uint64), np.array(default).view(np.uint64))
+    assert np.array_equal(np.array(single).view(np.uint64), np.array(four).view(np.uint64))
 
 
 @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
