@@ -1,6 +1,7 @@
 """Defining sequences (a_i) for a-adic groups and their cumulative moduli."""
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -127,6 +128,15 @@ class Basis:
         return body
 
 
+def _parse_int(text: str, prefix: str, refusal: str) -> int:
+    """The int after the prefix that text must start with, or else a
+    ValueError with the refusal, which names the spec."""
+    with contextlib.suppress(ValueError):
+        if text.startswith(prefix):
+            return int(text[len(prefix):])
+    raise ValueError(refusal)
+
+
 def parse_basis(text: str) -> Basis:
     """Parse ``const:<c>`` | ``cycle:<c0>,...`` | ``list:<c0>,...``
     with an optional ``@offset:<k>`` suffix."""
@@ -134,14 +144,9 @@ def parse_basis(text: str) -> Basis:
     offset = 0
     if "@" in body:
         body, _, tail = body.partition("@")
-        if not tail.startswith("offset:"):
-            raise ValueError(f"bad basis suffix {tail!r} (expected offset:<k>)")
-        offset = int(tail[len("offset:"):])
+        offset = _parse_int(tail, "offset:", f"bad basis suffix {tail!r} (expected offset:<k>)")
     kind, _, entries = body.partition(":")
     if not entries:
         raise ValueError(f"bad basis spec {text!r}")
-    try:
-        params = tuple(int(p) for p in entries.split(","))
-    except ValueError:
-        raise ValueError(f"bad basis entries in {text!r}") from None
+    params = tuple(_parse_int(p, "", f"bad basis entries in {text!r}") for p in entries.split(","))
     return Basis(kind, params, offset)

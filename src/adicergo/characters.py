@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .adic import AdicInt, _check_poly
-from .basis import BUDGETS, Basis
+from .basis import BUDGETS, Basis, _parse_int
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,11 @@ def parse_character(text: str, basis: Basis) -> Character:
     text = text.strip()
     if "@" in text:
         head, _, tail = text.partition("@")
-        if not tail.startswith("level:"):
-            raise ValueError(f"bad character suffix {tail!r}")
-        return Character(basis, int(tail[len("level:"):]), int(head))
+        level = _parse_int(tail, "level:", f"bad character suffix {tail!r}")
+        return Character(basis, level, _parse_int(head, "", f"bad character spec {text!r}"))
     if "/" in text:
         head, _, tail = text.partition("/")
-        ell, a = int(head), int(tail)
+        ell, a = (_parse_int(t, "", f"bad character spec {text!r}") for t in (head, tail))
         lo = basis.offset
         hi = lo + min(a.bit_length(), BUDGETS["bits"].limit)
         if basis.kind == "list":

@@ -11,11 +11,10 @@ from fractions import Fraction
 import numpy as np
 
 from .adic import AdicInt, _check_poly, poly_mod
-from .basis import BUDGETS, Basis, BudgetError, _check_budget
+from .basis import Basis, BudgetError, _check_budget
 from .characters import ReducedPhase, _integer_phase, unit_phase
+from .primes import _prime_powers
 
-# moduli are factored by trial division up to the root of the leaf budget
-_TRIAL_LIMIT = math.isqrt(BUDGETS["leaf"].limit)
 _UNITS = {"prime": True, "natural": False}  # a kind's limit sample: the units, or all residues
 
 @dataclass(frozen=True)
@@ -75,51 +74,6 @@ def _exp_sum(coeffs, modulus: int, residues: np.ndarray) -> complex:
     coeffs[0]*m + coeffs[1]*m^2 + ... (no constant term)."""
     phases = 2j * np.pi * poly_mod((0, *coeffs), modulus, residues) / modulus
     return complex(np.sum(np.exp(phases, out=phases)))
-
-
-def _prime_powers(n: int, what: str) -> list[tuple[int, int]]:
-    """n as [(p, e), ...], by trial division up to the square root of the
-    leaf budget.  The bit length of n is checked before the loop, and a
-    cofactor left past the leaf budget is refused after it, before any
-    vector exists, unless it is a power of one prime within the budget."""
-    _check_budget(n.bit_length(), "bits", what)
-    factors = []
-    p = 2
-    while p <= _TRIAL_LIMIT and p * p <= n:
-        if n % p == 0:
-            e, n = _split(n, p)
-            factors.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        m, k = _prime_root(n)
-        _check_budget(m, "leaf", f"{what} cofactor")
-        factors.append((m, k))
-    return factors
-
-
-def _prime_root(n: int) -> tuple[int, int]:
-    """(m, k) with m^k = n and m within the leaf budget, for a cofactor n > 1
-    with no prime factor up to the trial limit, or (n, 1) if there is none.
-    Such an m has no factor up to its square root, so it is prime.  An m below
-    2^24 is the double 2^(log2(n)/k) rounded, exactly."""
-    log = math.log2(n)
-    for k in range(2, n.bit_length() + 1):
-        if log / k < 64:
-            m = round(2 ** (log / k))
-            if m <= _TRIAL_LIMIT:
-                break
-            if m <= BUDGETS["leaf"].limit and m ** k == n:
-                return m, k
-    return n, 1
-
-
-def _split(n: int, p: int) -> tuple[int, int]:
-    """(e, n // p^e) for the largest power p^e dividing n >= 1, in log2(e)
-    steps: split n // p by p^2."""
-    if n % p:
-        return 0, n
-    f, m = _split(n // p, p * p)
-    return (2 * f + 2, m // p) if m % p == 0 else (2 * f + 1, m)
 
 
 def _prime_power_mean(coeffs: list[int], p: int, e: int, units: bool) -> complex:

@@ -1,8 +1,8 @@
 """Prime generation: an odd-only segmented sieve of Eratosthenes with exact
-counts (Bays & Hudson, BIT 17, 1977); and the number of primes in each
-residue class, without the primes, by the floor-value recursion of Legendre
-and Meissel (Lagarias, Miller & Odlyzko, Math. Comp. 44, 1985; Deléglise &
-Rivat, Math. Comp. 65, 1996)."""
+counts (Bays & Hudson, BIT 17, 1977); factoring by trial division by its
+primes; and the number of primes in each residue class, without the primes,
+by the floor-value recursion of Legendre and Meissel (Lagarias, Miller &
+Odlyzko, Math. Comp. 44, 1985; Deléglise & Rivat, Math. Comp. 65, 1996)."""
 from __future__ import annotations
 
 import math
@@ -11,7 +11,6 @@ from collections.abc import Iterator
 import numpy as np
 
 from .basis import BUDGETS, BudgetError, _check_budget
-from .multipliers import _prime_powers
 
 # odd numbers per segment: one flag each, so a segment spans 2 * _SEGMENT integers
 _SEGMENT = 1 << 20
@@ -62,6 +61,53 @@ def primes_in_range(lo: int, hi: int) -> np.ndarray:
     primes = np.concatenate([np.empty(0, dtype=np.int64),
                              *(primes for _, primes in prime_segments(hi))])
     return primes[np.searchsorted(primes, lo):]
+
+
+_TRIAL_PRIMES = tuple(primes_in_range(2, math.isqrt(BUDGETS["leaf"].limit)).tolist())
+
+
+def _prime_powers(n: int, what: str) -> list[tuple[int, int]]:
+    """n as [(p, e), ...], by trial division by the primes up to the root of
+    the leaf budget, sieved once.  The bit length of n is checked before the
+    loop, and a cofactor left past the leaf budget is refused after it, before
+    any vector exists, unless it is a power of one prime within the budget."""
+    _check_budget(n.bit_length(), "bits", what)
+    factors = []
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e, n = _split(n, p)
+            factors.append((p, e))
+    if n > 1:
+        m, k = _prime_root(n)
+        _check_budget(m, "leaf", f"{what} cofactor")
+        factors.append((m, k))
+    return factors
+
+
+def _prime_root(n: int) -> tuple[int, int]:
+    """(m, k) with m^k = n and m within the leaf budget, for a cofactor n > 1
+    with no trial prime factor, or (n, 1) if there is none.  Such an m has no
+    factor up to its square root, so it is prime.  An m below 2^24 is the
+    double 2^(log2(n)/k) rounded, exactly; no k with log2(n)/k >= 64 has one."""
+    log = math.log2(n)
+    for k in range(max(2, int(log // 64) + 1), n.bit_length() + 1):
+        m = round(2 ** (log / k))
+        if m <= _TRIAL_PRIMES[-1]:
+            break
+        if m <= BUDGETS["leaf"].limit and m ** k == n:
+            return m, k
+    return n, 1
+
+
+def _split(n: int, p: int) -> tuple[int, int]:
+    """(e, n // p^e) for the largest power p^e dividing n >= 1, in log2(e)
+    steps: split n // p by p^2."""
+    if n % p:
+        return 0, n
+    f, m = _split(n // p, p * p)
+    return (2 * f + 2, m // p) if m % p == 0 else (2 * f + 1, m)
 
 
 def prime_count(n: int) -> int:

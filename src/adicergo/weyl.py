@@ -87,11 +87,11 @@ def _sweep(source: str, n_schedule: list[int], moduli: list[int],
     count vectors, so a snapshot is used before it goes on.
 
     The sum at N is the running sum of the whole pieces below N plus, in the
-    piece holding N, prefix[b] of _block_sums (its whole blocks before the
-    block b that holds N) plus block b cut at N, summed on the calling
-    thread.  A pass that stops at N ends its last piece and block at N and
-    takes the same steps, so an N inside a schedule gets the bits of a
-    single-N run.
+    piece holding N, prefix[b] of _block_sums (the b whole blocks of its k
+    points up to N) plus the points up to N past them, none when N ends a
+    block, summed on the calling thread.  A pass that stops at N ends its
+    last piece and block at N and takes the same steps, so an N inside a
+    schedule gets the bits of a single-N run.
     """
     sample = _SAMPLES.get(source)
     if sample is None:
@@ -123,7 +123,7 @@ def _sweep(source: str, n_schedule: list[int], moduli: list[int],
                 for c in counts:
                     np.add.at(c, piece[start:k] % len(c), 1)
                 if i < len(inside):
-                    b = max(k - 1, 0) // _CHUNK  # the block that holds N
+                    b = k // _CHUNK  # the whole blocks up to N
                     yield inside[i], total + k, next(rows) if rows else counts, [
                         s + (p[b] + _block_sum(phi, piece[b * _CHUNK:k]))
                         for s, p, phi in zip(sums, prefixes, phis)]

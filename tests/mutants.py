@@ -33,7 +33,8 @@ MUTANTS = {
     "cube-root-split-left": Mutant(
         "primes", 'round(hi ** (1 / 3)), side="right")', 'round(hi ** (1 / 3)), side="left")'),
     "trial-limit-1000": Mutant(
-        "multipliers", '_TRIAL_LIMIT = math.isqrt(BUDGETS["leaf"].limit)', "_TRIAL_LIMIT = 1000"),
+        "primes", 'primes_in_range(2, math.isqrt(BUDGETS["leaf"].limit))',
+        "primes_in_range(2, 1000)"),
     "poly-mod-reduces-past-2m": Mutant(
         "adic", "if len(t) and t.max() > modulus:", "if len(t) and t.max() > 2 * modulus:"),
     "sup-slack-1e-9": Mutant("ergodic", "b <= a + 1e-15", "b <= a + 1e-9"),
@@ -45,8 +46,8 @@ MUTANTS = {
         "weyl", "_TASK = 4", "_TASK = 3",
         "the blocks a pool task takes change the pool's shape, not the order of the sums"),
     "block-k": Mutant(
-        "weyl", "b = max(k - 1, 0) // _CHUNK", "b = k // _CHUNK",
-        "at a cut on a block end it adds prefix[b + 1] and an empty block, the same double"),
+        "weyl", "b = k // _CHUNK", "b = max(k - 1, 0) // _CHUNK",
+        "at a cut on a block end it adds prefix[b - 1] and the whole block b - 1, the same double"),
     # the benchmark's tests check that its tracer restores weyl.primes_in_range
     "weyl-drops-primes-in-range": Mutant(
         "weyl", "prime_segments, primes_in_range  # noqa: F401", "prime_segments"),

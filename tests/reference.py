@@ -2,6 +2,7 @@
 this module imports nothing from adicergo, so it can serve as an oracle for it.
 Every reference of the tests is defined here, once."""
 import cmath
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -40,21 +41,30 @@ def is_prime(n):
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+@functools.cache
+def factorize(n):
+    """n >= 1 as [(p, e), ...], p ascending, by trial division: the least
+    divisor d > 1 of n (n itself, a prime, when none is up to its root), then
+    the factors of n // d.  Cached, so over 1..N each n is divided only up to
+    its least divisor.  The lists are shared: read them, do not change them."""
+    if n == 1:
+        return []
+    for d in range(2, math.isqrt(n) + 1):
+        if n % d == 0:
+            break
+    else:
+        d = n
+    rest = factorize(n // d)
+    if rest and rest[0][0] == d:
+        return [(d, rest[0][1] + 1), *rest[1:]]
+    return [(d, 1), *rest]
+
+
 def phi_mu(n):
     """(Euler's phi, Moebius mu) of n >= 1, from its factors by trial division."""
-    phi, mu, p = 1, 1, 2
-    while n > 1:
-        if p * p > n:
-            p = n  # the last factor is prime
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        if k:
-            phi *= (p - 1) * p ** (k - 1)
-            mu = 0 if k > 1 else -mu
-        p += 1
-    return phi, mu
+    factors = factorize(n)
+    phi = math.prod((p - 1) * p ** (e - 1) for p, e in factors)
+    return phi, 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
 
 def floor_values(stops):

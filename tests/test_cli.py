@@ -706,6 +706,16 @@ def test_empty_flag_is_refused(tmp_path, capsys, argv):
      "--freqs must be int values separated by ',', not 'a'"),
     (["torus", "--beta", "0,0.5", "--freqs", "1;2", "--coeffs", "1;x"],
      "--coeffs must be complex values separated by ';', not '1;x'"),
+    (["multiplier", "--basis", "const:2", "--char", "x/8", "--rho", "0,1"],
+     "bad character spec 'x/8'"),
+    (["multiplier", "--basis", "const:2", "--char", "1/8x", "--rho", "0,1"],
+     "bad character spec '1/8x'"),
+    (["weyl", "--basis", "const:2", "--char", "5@level:x", "--rho", "0,1"],
+     "bad character suffix 'level:x'"),
+    (["weyl", "--basis", "const:2", "--char", "x@level:5", "--rho", "0,1"],
+     "bad character spec 'x@level:5'"),
+    (["multiplier", "--basis", "const:2@offset:x", "--char", "1/8", "--rho", "0,1"],
+     "bad basis suffix 'offset:x' (expected offset:<k>)"),
 ])
 def test_bad_input_returns_one(capsys, argv, message):
     # these raised SystemExit out of main; now main returns the exit code

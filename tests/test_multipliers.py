@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adicergo import characters, cli, ergodic, multipliers, weyl
+from adicergo import characters, cli, ergodic, multipliers, primes, weyl
 from adicergo.adic import embed, poly_mod
 from adicergo.basis import BUDGETS, parse_basis
 from adicergo.characters import Character, ReducedPhase, reduce_phase
@@ -217,8 +217,8 @@ def test_power_of_a_prime_past_the_trial_limit():
     # 999,983^2 has no factor up to the trial limit; its root is a leaf
     assert abs(complete_exp_sum([0, 1], 999983**2)) == pytest.approx(999983, rel=1e-12)
     assert abs(complete_exp_sum([0, 1], 4001**3)) == pytest.approx(4001**1.5, rel=1e-12)
-    assert multipliers._prime_root(999983**500) == (999983, 500)  # 9,966 bits
-    assert multipliers._prime_powers(2**5 * 4001**7, "q") == [(2, 5), (4001, 7)]
+    assert primes._prime_root(999983**500) == (999983, 500)  # 9,966 bits
+    assert primes._prime_powers(2**5 * 4001**7, "q") == [(2, 5), (4001, 7)]
     # 4001^3 * 4003 (twin primes) is within 0.5 of 4001^4: a near power, refused
     for q in (999983 * 999979, 999983**2 * 999979, 4001 * 999983**2, 4001**3 * 4003):
         with pytest.raises(BudgetError, match="cofactor"):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from adicergo import weyl
 from adicergo.basis import BUDGETS
 from adicergo.multipliers import BudgetError
-from adicergo.primes import _SEGMENT, _plan, prime_class_counts, prime_count, primes_in_range
+from adicergo.primes import (_SEGMENT, _plan, _prime_powers, prime_class_counts, prime_count,
+                             primes_in_range)
 
-from reference import floor_values, is_prime, phi_mu, plain_sieve, plan_cells
+from reference import factorize, floor_values, is_prime, phi_mu, plain_sieve, plan_cells
 
 
 def test_small_examples():
@@ -89,6 +91,34 @@ def test_odd_only_sieve_lower_bounds(lo):
     hi = 4 * _SEGMENT + 11
     expected = plain_sieve(hi)
     assert np.array_equal(primes_in_range(lo, hi), expected[expected >= lo])
+
+
+def test_factoring_against_trial_division():
+    # division by the sieve's primes up to 3,162 against division by every d up to the root
+    ns = range(1, 1 << 16)
+    got = [_prime_powers(n, "q") for n in ns]
+    assert got == [factorize(n) for n in ns]
+
+
+@pytest.mark.parametrize("n, factors", [
+    (3137 * 3163, [(3137, 1), (3163, 1)]),  # the last trial prime and the next prime
+    (3163**2, [(3163, 2)]),
+    (3137**5 * 3163, [(3137, 5), (3163, 1)]),
+    (2**21 * 999983, [(2, 21), (999983, 1)]),
+    *((999983**k, [(999983, k)]) for k in (1, 2, 7)),
+    (1009 * 1013, [(1009, 1), (1013, 1)]),
+])
+def test_factoring_edges(n, factors):
+    # the reference would divide up to 999,983 here; the factors are checked instead
+    assert math.prod(p**e for p, e in factors) == n and all(is_prime(p) for p, _ in factors)
+    assert _prime_powers(n, "q") == factors
+
+
+@pytest.mark.parametrize("n", [10_000_019, 10_000_019**2])
+def test_factoring_refuses_a_prime_past_the_leaf_budget(n):
+    # 10,000,019 is the least prime past the leaf budget; its square is no leaf power
+    with pytest.raises(BudgetError, match=f"^q cofactor {n} exceeds budget 10000000$"):
+        _prime_powers(n, "q")
 
 
 ORACLE_PRIMES = plain_sieve(2 * 10**5)
